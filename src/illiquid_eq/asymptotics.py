@@ -11,14 +11,13 @@ themselves.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import BeliefSet, MarketSpec
-from .pde import Grid1D, GridSurface, _Operator, _interp2, _march
-from .util import max_threads
+from .pde import (Grid1D, GridSurface, _dv_dx, _interp2, _march, solve_frictionless,
+                  solve_risk_neutral)
 
 __all__ = ["CorrectionSurface", "SmoothnessError", "tc_correction", "hc_correction"]
 
@@ -34,10 +33,7 @@ class CorrectionSurface(GridSurface):
     which: str = ""    # "transaction" or "holding"
 
     def to_csv(self, path) -> None:
-        from .util import write_csv
-        rows = [(float(t), float(x), float(self.v[k, j]), float(self.dv_dx[k, j]))
-                for k, t in enumerate(self.ts) for j, x in enumerate(self.xs)]
-        write_csv(path, ["t", "x", "v_star", "dv_star_dx"], rows)
+        self._write_csv(path, ["t", "x", "v_star", "dv_star_dx"], [self.v, self.dv_dx])
 
 
 def _smooth_x(F: np.ndarray) -> np.ndarray:
@@ -51,29 +47,18 @@ def _coeff_grid(fn, ts, xs) -> np.ndarray:
     return np.stack([np.asarray(fn(t, xs), dtype=float) for t in ts])
 
 
-def _dv_dx_extract(v, h):
-    from .pde import _dv_dx
-    return _dv_dx(v, h)
-
-
 def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
-                  refine: int = 4, assembly: str = "generator") -> CorrectionSurface:
+                  refine: int = 4) -> CorrectionSurface:
     """Price correction per sqrt(trading cost) around the frictionless limit.
 
     Solves the averaged-generator equation with source equal to the average
     of each agent's subjective drift of their frictionless portfolio
-    feedback.  ``assembly`` picks how that source is built: "generator"
-    applies each agent's full space-time generator to the feedback function;
-    "spatial" uses the equivalent derivative form without the time slope
-    (the two agree because the frictionless portfolios clear the market).
+    feedback: each agent's full space-time generator applied to the
+    feedback function.
     """
-    if assembly not in ("generator", "spatial"):
-        raise ValueError("assembly must be 'generator' or 'spatial'")
     gamma = spec.kernel.gamma
     if gamma <= 0:
         raise ValueError("transaction-cost correction needs gamma > 0")
-    from .pde import solve_frictionless
-
     n = beliefs.n_agents
     fine = grid.refined(refine)
     v0 = solve_frictionless(spec, beliefs, fine)
@@ -92,16 +77,11 @@ def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
         # L^i v0 via the frictionless equation: only coefficient differences survive
         li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx \
             + gamma * spec.supply_a0 / n
-        if assembly == "generator":
-            phi_hat = li_v0 / gamma
-            pt = np.gradient(phi_hat, fts, axis=0, edge_order=2)
-            px = np.gradient(phi_hat, h, axis=1, edge_order=2)
-            pxx = np.gradient(px, h, axis=1, edge_order=2)
-            source += (np.sqrt(gamma) / n) * (pt + b_i * px + 0.5 * s2_i * pxx)
-        else:
-            gx = np.gradient(li_v0, h, axis=1, edge_order=2)
-            gxx = np.gradient(gx, h, axis=1, edge_order=2)
-            source += (b_i * gx + 0.5 * s2_i * gxx) / (np.sqrt(gamma) * n)
+        phi_hat = li_v0 / gamma
+        pt = np.gradient(phi_hat, fts, axis=0, edge_order=2)
+        px = np.gradient(phi_hat, h, axis=1, edge_order=2)
+        pxx = np.gradient(px, h, axis=1, edge_order=2)
+        source += (np.sqrt(gamma) / n) * (pt + b_i * px + 0.5 * s2_i * pxx)
 
     smoothed = _smooth_x(source)
     if not np.all(np.isfinite(smoothed)):
@@ -116,47 +96,34 @@ def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
             "insufficiently smooth - apply a smoothing filter or refine the grid")
 
     ts, xs = grid.ts(spec.horizon_T), grid.xs
-    op = _Operator(xs, beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))
-    src_fn = lambda t, x: _interp2(fts, fxs, smoothed, np.full_like(x, t), x)
-    w, _ = _march(ts, xs, [op], np.zeros((1, len(xs))), coupling=None, sources=[src_fn])
-    w = w[0]
-    return CorrectionSurface(ts=ts, xs=xs, v=w, dv_dx=_dv_dx_extract(w, grid.h),
-                             which="transaction")
+    w = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
+               np.zeros((1, len(xs))),
+               source=lambda t: _interp2(fts, fxs, smoothed, np.full_like(xs, t), xs))[0]
+    return CorrectionSurface(ts=ts, xs=xs, v=w, dv_dx=_dv_dx(w, grid.h), which="transaction")
 
 
 def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> CorrectionSurface:
     """Price correction per unit holding cost around the risk-neutral limit.
 
-    For each agent solves  L^i w_i + ((T-t)/lam)(v0 - v0_i) = 0, w_i(T) = 0,
-    with the risk-neutral surfaces from the finite-difference solver, then
-    averages and subtracts (T-t) a0 / N.  Per-agent solves run in parallel
-    up to the thread cap.
+    Solves  L^i w_i + ((T-t)/lam)(v0 - v0_i) = 0, w_i(T) = 0,  for all
+    agents in one march, with the risk-neutral surfaces from the
+    finite-difference solver, then averages and subtracts (T-t) a0 / N.
     """
     lam = spec.kernel.lam
     if lam <= 0:
         raise ValueError("holding-cost correction needs lambda > 0")
-    from .pde import solve_risk_neutral
-
     n = beliefs.n_agents
     v0, vis = solve_risk_neutral(spec, beliefs, grid)
     ts, xs = v0.ts, v0.xs
     T = spec.horizon_T
 
-    def solve_one(i: int) -> np.ndarray:
-        op = _Operator(xs, beliefs.agents[i].drift, beliefs.agents[i].vol)
-        src = lambda t, x: (T - t) / lam * (
-            _interp2(ts, xs, v0.v, np.full_like(x, t), x)
-            - _interp2(ts, xs, vis[i].v, np.full_like(x, t), x))
-        w, _ = _march(ts, xs, [op], np.zeros((1, len(xs))), coupling=None, sources=[src])
-        return w[0]
+    def source(t):
+        tq = np.full_like(xs, t)
+        v0_t = _interp2(ts, xs, v0.v, tq, xs)
+        return np.stack([(T - t) / lam * (v0_t - _interp2(ts, xs, vi.v, tq, xs)) for vi in vis])
 
-    workers = min(max_threads(), n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ws = list(pool.map(solve_one, range(n)))
-    else:
-        ws = [solve_one(i) for i in range(n)]
-
-    v_star = sum(ws) / n - np.outer(T - ts, np.ones_like(xs)) * spec.supply_a0 / n
-    return CorrectionSurface(ts=ts, xs=xs, v=v_star, dv_dx=_dv_dx_extract(v_star, grid.h),
+    w = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], np.zeros((n, len(xs))),
+               source=source)
+    v_star = w.mean(axis=0) - np.outer(T - ts, np.ones_like(xs)) * spec.supply_a0 / n
+    return CorrectionSurface(ts=ts, xs=xs, v=v_star, dv_dx=_dv_dx(v_star, grid.h),
                              which="holding")

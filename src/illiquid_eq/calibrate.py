@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 __all__ = ["TimeSeries", "OuEstimate", "CalibrationError",
-           "ingest_csv", "estimate_ou", "split_beliefs"]
+           "ingest_csv", "estimate_ou"]
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -146,15 +145,3 @@ def estimate_ou(series: TimeSeries, max_lag: int = 60,
             "n_dropped": series.n_dropped,
             "spacing_dt": series.spacing_dt,
         })
-
-
-def split_beliefs(kappa_bar: float, kappa2: float):
-    """Two-agent disagreement around a common average speed.
-
-    Returns (kappa1, kappa2) with kappa1 = 2*kappa_bar - kappa2, so the mean
-    is exactly kappa_bar.  Requires 0 < kappa2 < 2*kappa_bar so both speeds
-    stay positive.
-    """
-    if not 0.0 < kappa2 < 2.0 * kappa_bar:
-        raise CalibrationError("kappa2 must lie strictly between 0 and 2*kappa_bar")
-    return 2.0 * kappa_bar - kappa2, kappa2

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from . import calibrate as cal
 from . import ou as oumod
 from . import pde, portfolio, simulate, svgplot
 from .kernel import CostKernel
-from .model import BeliefSet, MarketSpec, constant_beliefs, validate
+from .model import MarketSpec, constant_beliefs, validate
 from .util import write_csv
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -185,8 +184,7 @@ def cmd_pde_solve(cfg: RunConfig, out: Path) -> list:
     sol = pde.solve_equilibrium(spec, beliefs, grid)
     path = out / "equilibrium.csv"
     sol.to_csv(path)
-    cache = sol.cache_save(out)
-    return [path, Path(cache)]
+    return [path]
 
 
 def cmd_asymptotics(cfg: RunConfig, out: Path) -> list:
@@ -202,8 +200,11 @@ def cmd_asymptotics(cfg: RunConfig, out: Path) -> list:
 
     x = num["x_eval"]
     if m is not None:
-        ab0 = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"])
-        v0f = oumod.frictionless_price(m, 0.0, x)
+        # the supply lowers the price by gamma a0 T/N and the holding-cost
+        # correction by a0 T/N; the risk-neutral price does not see it
+        a0 = spec.supply_a0
+        shift = a0 * spec.horizon_T / m.n_agents
+        v0f = oumod.frictionless_price(m, 0.0, x) - spec.kernel.gamma * shift
         v0r, _ = oumod.risk_neutral_price(m, 0.0, x)
         tc_target = oumod.tc_correction_closed(m, spec.kernel.gamma, 0.0, x)
         rows = []
@@ -212,20 +213,20 @@ def cmd_asymptotics(cfg: RunConfig, out: Path) -> list:
             kern_k = CostKernel(spec.kernel.gamma, lam_k, spec.horizon_T)
             a = kern_k.rate_a
             steps = max(num["ode_steps"], int(50 * a * spec.horizon_T))
-            ab = oumod.solve_ab(m, kern_k, n_steps=steps)
+            ab = oumod.solve_ab(m, kern_k, n_steps=steps, supply_a0=a0)
             vl = ab.value(0.0, x)
             rows.append((lam_k, vl, (vl - v0f) / np.sqrt(lam_k), tc_target))
         p = out / "lambda_sweep.csv"
         write_csv(p, ["lambda", "price", "rescaled_gap", "closed_form"], rows)
         files.append(p)
 
-        hc_target = oumod.hc_correction_closed(m, spec.kernel.lam, 0.0, x) \
+        hc_target = oumod.hc_correction_closed(m, spec.kernel.lam, 0.0, x) - shift \
             if m.kappas_distinct else float("nan")
         rows = []
         for k in range(5):
             g_k = spec.kernel.gamma * 2.0 ** (-k)
             kern_k = CostKernel(g_k, spec.kernel.lam, spec.horizon_T)
-            ab = oumod.solve_ab(m, kern_k, n_steps=num["ode_steps"])
+            ab = oumod.solve_ab(m, kern_k, n_steps=num["ode_steps"], supply_a0=a0)
             vg = ab.value(0.0, x)
             rows.append((g_k, vg, (vg - v0r) / g_k, hc_target))
         p = out / "gamma_sweep.csv"
@@ -261,7 +262,7 @@ def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
         si = portfolio.integrate_strategies(surface, spec, bi, rate_scale=rate_scale)
         res = portfolio.gateaux_residual(i, bi, si, surface, seed=num["seed"] + 100 + i)
         gate[f"agent_{i}"] = {"value": res.max_residual, "bound": 3.0,
-                              "ok": res.max_residual <= 3.0}
+                              "ok": res.max_residual <= 3.0, "exit_frac": si.exit_frac}
         # perturbation: optimal beats perturbed within Monte Carlo resolution
         dirs = portfolio.bump_directions(bi.ts, 5, seed=num["seed"] + 200 + i)
         scale = float(np.sqrt(np.mean(si.positions[i] ** 2)))
@@ -275,7 +276,7 @@ def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
                 rates=si.rates[i] + 0.1 * scale * dirs[d][None, :])
             gap = base.per_path - pert.per_path
             worst = min(worst, gap.mean() + 3.0 * gap.std(ddof=1) / np.sqrt(len(gap)))
-        obj[f"agent_{i}"] = {"worst_gap_plus_3se": worst, "ok": worst >= 0.0}
+        obj[f"agent_{i}"] = {"worst_gap_plus_3se": float(worst), "ok": bool(worst >= 0.0)}
         est, se = simulate.feynman_kac_vi(beliefs, i, surface, spec.kernel, 0.0, x0,
                                           npaths=num["paths"], seed=num["seed"] + 300 + i,
                                           nt=num["steps"])

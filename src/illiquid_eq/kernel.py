@@ -119,11 +119,6 @@ def discount_integral(kernel: CostKernel, t):
     return _as_input(t, out)
 
 
-def decay_weight(kernel: CostKernel, u, t):
-    """G'(u)/G(t) = log_deriv(u) * ratio(u, t); nonpositive for u >= t."""
-    return log_deriv(kernel, u) * ratio(kernel, u, t)
-
-
 def ratio_increment(kernel: CostKernel, u0, u1, t):
     """Exact integral of -G'(u)/G(t) over [u0, u1]: ratio(u0,t) - ratio(u1,t)."""
     return ratio(kernel, u0, t) - ratio(kernel, u1, t)

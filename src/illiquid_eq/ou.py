@@ -12,14 +12,13 @@ prices and both leading-order small-cost corrections.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .kernel import CostKernel, log_deriv
-from .model import AgentBelief, BeliefSet, MarketSpec
+from .model import AgentBelief, BeliefSet
+from .util import write_csv
 
 __all__ = [
     "OuModel",
@@ -27,7 +26,6 @@ __all__ = [
     "IntegrationBlowupError",
     "ou_beliefs",
     "solve_ab",
-    "price",
     "frictionless_price",
     "risk_neutral_price",
     "perceived_drift_frictionless",
@@ -71,10 +69,6 @@ class OuModel:
         k = sorted(self.kappas)
         return all(b > a for a, b in zip(k, k[1:]))
 
-    @property
-    def stationary_std(self) -> float:
-        return self.sigma / np.sqrt(2.0 * self.kappa_bar)
-
 
 def ou_beliefs(model: OuModel) -> BeliefSet:
     """Belief set with drift kappa_i*(mean - x) and common constant sigma."""
@@ -93,18 +87,6 @@ def ou_beliefs(model: OuModel) -> BeliefSet:
                     "mean_X": float(model.mean_X),
                     "sigma": float(model.sigma)},
     )
-
-
-def market_spec(model: OuModel, gamma: float, lam: float,
-                allocations=None) -> MarketSpec:
-    """Zero-net-supply market for the mean-reversion example: payoff f(x) = x."""
-    if allocations is None:
-        n = model.n_agents
-        allocations = tuple(1.0 if i == 0 else (-1.0 if i == 1 else 0.0) for i in range(n)) \
-            if n >= 2 else (0.0,)
-    kernel = CostKernel(gamma=gamma, lam=lam, horizon_T=model.horizon_T)
-    return MarketSpec(kernel=kernel, supply_a0=0.0, allocations=tuple(allocations),
-                      payoff=lambda x: np.asarray(x, dtype=float) + 0.0)
 
 
 @dataclass
@@ -165,9 +147,6 @@ class AbSolution:
 
     def b_bar(self, t):
         return self.b_at(t).mean(axis=-1)
-
-    def a_bar(self, t):
-        return self.a_at(t).mean(axis=-1)
 
     def b_bar_deriv(self, t):
         # coupling averages out: Bbar' = mean(kappa_i * B_i)
@@ -258,11 +237,6 @@ def solve_ab(model: OuModel, kernel: CostKernel, n_steps: int = 3000,
             dA[m - 1], dB[m - 1] = _rhs(model, kernel, ts[m - 1], A[m - 1], B[m - 1])
     return AbSolution(ts=ts, A=A, B=B, dA=dA, dB=dB, model=model, kernel=kernel,
                       supply_a0=float(supply_a0))
-
-
-def price(model: OuModel, ab: AbSolution, t, x):
-    """Equilibrium price mean + (x - mean)*Bbar(t) from an ODE solution."""
-    return ab.value(t, x)
 
 
 def frictionless_price(model: OuModel, t, x):
@@ -365,14 +339,6 @@ def curves_csv(model: OuModel, ab: AbSolution, path, x_eval: float = 1.0) -> Non
     bbar, lower, upper = volatility_curve(model, ab, ts)
     v = ab.value(ts, np.full_like(ts, x_eval))
     n = ab.n_agents
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = (["t"] + [f"A{i+1}" for i in range(n)] + [f"B{i+1}" for i in range(n)]
-                  + ["B_bar", "env_no_tc", "env_no_hc", f"price_x{x_eval:g}"])
-        w.writerow(header)
-        for k in range(len(ts)):
-            row = [f"{ts[k]:.12g}"]
-            row += [f"{ab.A[k, i]:.12g}" for i in range(n)]
-            row += [f"{ab.B[k, i]:.12g}" for i in range(n)]
-            row += [f"{bbar[k]:.12g}", f"{lower[k]:.12g}", f"{upper[k]:.12g}", f"{v[k]:.12g}"]
-            w.writerow(row)
+    header = (["t"] + [f"A{i+1}" for i in range(n)] + [f"B{i+1}" for i in range(n)]
+              + ["B_bar", "env_no_tc", "env_no_hc", f"price_x{x_eval:g}"])
+    write_csv(path, header, np.column_stack([ts, ab.A, ab.B, bbar, lower, upper, v]).tolist())

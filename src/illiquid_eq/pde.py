@@ -1,48 +1,38 @@
 """Theta-scheme finite-difference solver for the weakly coupled price system.
 
 One spatial dimension, uniform grids.  Time stepping is Crank-Nicolson with
-a Rannacher startup (two implicit-Euler steps); the zeroth-order coupling
-through the cross-agent average is resolved by Picard iteration within each
-time level, so every sweep costs N independent tridiagonal solves.  The
-domain is truncated with zero second spatial derivative (linear
-extrapolation) at both edges, which is exact for affine solutions.
+a Rannacher startup (two implicit-Euler steps).  The agents interact only
+through the zeroth-order cross-agent mean, so with the unknowns ordered
+node-major, agent-minor, each time level of all N equations is a single
+banded linear system of bandwidth N, solved directly.  The domain is
+truncated with zero second spatial derivative (linear extrapolation) at
+both edges, which is exact for affine solutions.
 """
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .kernel import CostKernel, log_deriv
+from .kernel import log_deriv
 from .model import BeliefSet, MarketSpec
+from .util import write_csv
 
 __all__ = [
     "Grid1D",
     "GridSurface",
     "EquilibriumSolution",
-    "CouplingIterationError",
     "DegenerateVolatilityError",
     "solve_equilibrium",
     "solve_frictionless",
     "solve_risk_neutral",
     "default_grid",
-    "spec_fingerprint",
 ]
 
-
-class CouplingIterationError(RuntimeError):
-    """Picard iteration on the cross-agent coupling failed to converge."""
-
-    def __init__(self, message, residuals):
-        super().__init__(message)
-        self.residuals = list(residuals)
+# implicit-Euler steps before Crank-Nicolson, damping the payoff's kinks
+RANNACHER_STEPS = 2
 
 
 class DegenerateVolatilityError(RuntimeError):
@@ -123,120 +113,81 @@ def _dv_dx(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-class _Operator:
-    """Tridiagonal form of L = 0.5 sigma^2 d_xx + b d_x on one grid.
+def _bands(xs, drift_fn, vol_fn, t: float) -> np.ndarray:
+    """(lower, diag, upper) of L = 0.5 sigma^2 d_xx + b d_x at time t, shape (3, nx).
 
     Boundary rows use the linear-extrapolation ghost node: d_xx -> 0 and
-    d_x -> one-sided first difference.
+    d_x -> one-sided first difference.  Raises on degenerate vol.
     """
-
-    def __init__(self, xs, drift_fn, vol_fn):
-        self.xs = xs
-        self.h = xs[1] - xs[0]
-        self.drift_fn = drift_fn
-        self.vol_fn = vol_fn
-
-    def bands(self, t: float):
-        """(lower, diag, upper) of L at time t; raises on degenerate vol."""
-        xs, h = self.xs, self.h
-        b = np.asarray(self.drift_fn(t, xs), dtype=float)
-        s2 = np.asarray(self.vol_fn(t, xs), dtype=float) ** 2
-        if np.any(s2 <= 0.0) or not np.all(np.isfinite(s2)):
-            raise DegenerateVolatilityError(f"nonpositive or non-finite sigma^2 at t={t:.6g}")
-        lo = np.zeros_like(xs)
-        di = np.zeros_like(xs)
-        up = np.zeros_like(xs)
-        lo[1:-1] = 0.5 * s2[1:-1] / h**2 - b[1:-1] / (2 * h)
-        di[1:-1] = -s2[1:-1] / h**2
-        up[1:-1] = 0.5 * s2[1:-1] / h**2 + b[1:-1] / (2 * h)
-        di[0] = -b[0] / h
-        up[0] = b[0] / h
-        di[-1] = b[-1] / h
-        lo[-1] = -b[-1] / h
-        return lo, di, up
-
-    @staticmethod
-    def apply(bands, u):
-        lo, di, up = bands
-        out = di * u
-        out[:-1] += up[:-1] * u[1:]
-        out[1:] += lo[1:] * u[:-1]
-        return out
-
-    @staticmethod
-    def implicit_banded(bands, shift: float, coef: float):
-        """Banded matrix of I - coef * (L + shift*I) for solve_banded."""
-        lo, di, up = bands
-        n = len(di)
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -coef * up[:-1]
-        ab[1, :] = 1.0 - coef * (di + shift)
-        ab[2, :-1] = -coef * lo[1:]
-        return ab
+    h = xs[1] - xs[0]
+    b = np.asarray(drift_fn(t, xs), dtype=float)
+    s2 = np.asarray(vol_fn(t, xs), dtype=float) ** 2
+    if np.any(s2 <= 0.0) or not np.all(np.isfinite(s2)):
+        raise DegenerateVolatilityError(f"nonpositive or non-finite sigma^2 at t={t:.6g}")
+    L = np.zeros((3, len(xs)))
+    lo, di, up = L
+    lo[1:-1] = 0.5 * s2[1:-1] / h**2 - b[1:-1] / (2 * h)
+    di[1:-1] = -s2[1:-1] / h**2
+    up[1:-1] = 0.5 * s2[1:-1] / h**2 + b[1:-1] / (2 * h)
+    di[0] = -b[0] / h
+    up[0] = b[0] / h
+    di[-1] = b[-1] / h
+    lo[-1] = -b[-1] / h
+    return L
 
 
-def _march(ts, xs, operators, terminal, coupling=None, sources=None,
-           rannacher: int = 2, picard_tol: float = 1e-10, picard_max: int = 50):
+def _implicit_banded(lo, di, up, c: float, k: float) -> np.ndarray:
+    """solve_banded((N, N)) form of v_i - k (L_i v_i + c (v_i - vbar)), node-major.
+
+    Unknown j*N + i is agent i at node j.  Within a node the mean coupling
+    is an N x N block with diagonal 1 - k (di_i + c) + k c/N and
+    off-diagonal k c/N; L_i links nodes at offsets +-N.
+    """
+    n, nx = di.shape
+    ab = np.zeros((2 * n + 1, n * nx))
+    ab[0, n:] = -k * up[:, :-1].T.ravel()
+    ab[n] = (1.0 - k * (di + c) + k * c / n).T.ravel()
+    ab[2 * n, :-n] = -k * lo[:, 1:].T.ravel()
+    agent = np.arange(n * nx) % n
+    for d in range(1, n):
+        ab[n - d] = np.where(agent >= d, k * c / n, 0.0)        # A[q - d, q]
+        ab[n + d] = np.where(agent < n - d, k * c / n, 0.0)     # A[q + d, q]
+    return ab
+
+
+def _march(ts, xs, coeffs, terminal, coupling=None, source=None) -> np.ndarray:
     """March d_t v_i + L_i v_i + c(t)(v_i - vbar) + g_i(t, x) = 0 backward.
 
-    ``coupling`` is c(t) or None; ``sources`` a list of g_i(t, xs) callables
-    or None.  Sources are evaluated at the time-step midpoint.  Returns
-    (values array (n_eq, nt, nx), picard iteration counts).
+    ``coeffs`` holds one (drift, vol) pair of callables per equation;
+    ``coupling`` is c on the time levels (zero if None); ``source(t)`` gives
+    g on the grid, broadcastable to (N, nx), at each step's midpoint.  Each
+    time level is one banded solve of all N equations together, with the
+    explicit half built from the previous level's bands.  Returns the values,
+    shape (N, nt, nx).
     """
-    n_eq = len(operators)
-    nt, nx = len(ts), len(xs)
-    out = np.empty((n_eq, nt, nx))
+    n, nt = len(coeffs), len(ts)
+    c = np.zeros(nt) if coupling is None else coupling
+    out = np.empty((n, nt, len(xs)))
     out[:, -1] = terminal
-    vi = np.array(terminal, dtype=float, copy=True)
-    iters_used = []
+    v = np.array(terminal, dtype=float)
+    # bands of the last level solved: the explicit half of the next step
+    bands = np.stack([_bands(xs, b, s, ts[-1]) for b, s in coeffs], axis=1)
     for m in range(nt - 2, -1, -1):
-        t_new, t_old = ts[m], ts[m + 1]
-        dt = t_old - t_new
-        t_mid = 0.5 * (t_new + t_old)
-        theta = 1.0 if (nt - 2 - m) < rannacher else 0.5
-        c_new = coupling(t_new) if coupling is not None else 0.0
-        c_old = coupling(t_old) if coupling is not None else 0.0
-        bands_new = [op.bands(t_new) for op in operators]
-        bands_old = [op.bands(t_old) for op in operators]
-        vbar_old = vi.mean(axis=0)
-        rhs = np.empty((n_eq, nx))
-        for i in range(n_eq):
-            expl = _Operator.apply(bands_old[i], vi[i])
-            if coupling is not None:
-                expl = expl + c_old * (vi[i] - vbar_old)
-            rhs[i] = vi[i] + dt * (1.0 - theta) * expl
-            if sources is not None and sources[i] is not None:
-                rhs[i] += dt * np.asarray(sources[i](t_mid, xs), dtype=float)
-        mats = [_Operator.implicit_banded(bands_new[i], c_new if coupling is not None else 0.0,
-                                          dt * theta) for i in range(n_eq)]
-        if coupling is None:
-            for i in range(n_eq):
-                vi[i] = solve_banded((1, 1), mats[i], rhs[i])
-            iters_used.append(1)
-        else:
-            vbar = vbar_old.copy()
-            prev = None
-            residuals = []
-            for it in range(picard_max):
-                new = np.empty_like(vi)
-                for i in range(n_eq):
-                    new[i] = solve_banded((1, 1), mats[i], rhs[i] - dt * theta * c_new * vbar)
-                if prev is not None:
-                    change = float(np.max(np.abs(new - prev)))
-                    residuals.append(change)
-                    if change < picard_tol:
-                        prev = new
-                        break
-                prev = new
-                vbar = new.mean(axis=0)
-            else:
-                raise CouplingIterationError(
-                    f"coupling iteration did not reach {picard_tol:g} within "
-                    f"{picard_max} sweeps at t={t_new:.6g}", residuals)
-            vi = prev
-            iters_used.append(len(residuals) + 1)
-        out[:, m] = vi
-    return out, iters_used
+        dt = ts[m + 1] - ts[m]
+        theta = 1.0 if (nt - 2 - m) < RANNACHER_STEPS else 0.5
+        lo, di, up = bands
+        expl = di * v
+        expl[:, :-1] += up[:, :-1] * v[:, 1:]
+        expl[:, 1:] += lo[:, 1:] * v[:, :-1]
+        expl += c[m + 1] * (v - v.mean(axis=0))
+        rhs = v + dt * (1.0 - theta) * expl
+        if source is not None:
+            rhs += dt * np.asarray(source(0.5 * (ts[m] + ts[m + 1])), dtype=float)
+        bands = np.stack([_bands(xs, b, s, ts[m]) for b, s in coeffs], axis=1)
+        ab = _implicit_banded(*bands, c[m], dt * theta)
+        v = solve_banded((n, n), ab, rhs.T.ravel()).reshape(-1, n).T
+        out[:, m] = v
+    return out
 
 
 @dataclass
@@ -263,6 +214,12 @@ class GridSurface:
     def terminal(self) -> np.ndarray:
         return self.v[-1]
 
+    def _write_csv(self, path, header, fields) -> None:
+        """One row per (t, x) node: t, x, then each (nt, nx) field at the node."""
+        T, X = np.meshgrid(self.ts, self.xs, indexing="ij")
+        table = np.stack([f.ravel() for f in (T, X, *fields)], axis=1)
+        write_csv(path, header, (row.tolist() for row in table))
+
 
 @dataclass
 class EquilibriumSolution(GridSurface):
@@ -275,7 +232,6 @@ class EquilibriumSolution(GridSurface):
     vi: np.ndarray = None          # (N, nt, nx)
     spec: MarketSpec = None
     beliefs: BeliefSet = None
-    metadata: dict = field(default_factory=dict)
     _deriv_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -313,11 +269,7 @@ class EquilibriumSolution(GridSurface):
         dv_dt = _interp2(self.ts, self.xs, self._time_slope_grid(), t, x)
         dv_dx = _interp2(self.ts, self.xs, self.dv_dx, t, x)
         dv_dxx = _interp2(self.ts, self.xs, self._curvature_grid(), t, x)
-        tq = np.asarray(t, dtype=float)
-        xq = np.asarray(x, dtype=float)
-        b = np.empty_like(np.broadcast_arrays(tq, xq)[0], dtype=float)
-        s = np.empty_like(b)
-        tb, xb = np.broadcast_arrays(tq, xq)
+        tb, xb = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
         flat_t, flat_x = tb.ravel(), xb.ravel()
         bv = np.array([self.beliefs.drift(i, float(a), float(c)) for a, c in zip(flat_t, flat_x)])
         sv = np.array([self.beliefs.vol(i, float(a), float(c)) for a, c in zip(flat_t, flat_x)])
@@ -328,55 +280,8 @@ class EquilibriumSolution(GridSurface):
 
     def to_csv(self, path) -> None:
         """One row per (t, x) node: t, x, v, v1..vN, dv_dx."""
-        n = self.n_agents
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x", "v"] + [f"v{i+1}" for i in range(n)] + ["dv_dx"])
-            for k, t in enumerate(self.ts):
-                for j, x in enumerate(self.xs):
-                    row = [f"{t:.12g}", f"{x:.12g}", f"{self.v[k, j]:.12g}"]
-                    row += [f"{self.vi[i, k, j]:.12g}" for i in range(n)]
-                    row.append(f"{self.dv_dx[k, j]:.12g}")
-                    w.writerow(row)
-
-    def cache_save(self, directory) -> str:
-        """Compact binary cache keyed by the spec fingerprint."""
-        os.makedirs(directory, exist_ok=True)
-        key = self.metadata.get("fingerprint", "unkeyed")
-        path = os.path.join(directory, f"equilibrium_{key}.npz")
-        np.savez_compressed(path, ts=self.ts, xs=self.xs, v=self.v,
-                            dv_dx=self.dv_dx, vi=self.vi,
-                            metadata=json.dumps(self.metadata))
-        return path
-
-
-def cache_load(path) -> EquilibriumSolution:
-    """Load a cached solution (arrays only; beliefs are not persisted)."""
-    with np.load(path, allow_pickle=False) as z:
-        return EquilibriumSolution(
-            ts=z["ts"], xs=z["xs"], v=z["v"], dv_dx=z["dv_dx"], vi=z["vi"],
-            metadata=json.loads(str(z["metadata"])))
-
-
-def spec_fingerprint(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> str:
-    """Stable hash of costs, supply, allocations, payoff samples and coefficients."""
-    xs = np.linspace(grid.x_min, grid.x_max, 17)
-    ts = np.linspace(0.0, spec.horizon_T, 5)
-    doc = {
-        "gamma": spec.kernel.gamma,
-        "lam": spec.kernel.lam,
-        "T": spec.horizon_T,
-        "a0": spec.supply_a0,
-        "allocations": list(map(float, spec.allocations)),
-        "grid": [grid.x_min, grid.x_max, grid.nx, grid.nt],
-        "tag": beliefs.tag,
-        "payoff": [float(v) for v in np.asarray(spec.payoff(xs), dtype=float)],
-        "coeffs": [[float(np.mean(np.asarray(beliefs.drift(i, t, xs)))) for t in ts]
-                   + [float(np.mean(np.asarray(beliefs.vol(i, t, xs)))) for t in ts]
-                   for i in range(beliefs.n_agents)],
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+        self._write_csv(path, ["t", "x", "v"] + [f"v{i+1}" for i in range(self.n_agents)]
+                        + ["dv_dx"], [self.v, *self.vi, self.dv_dx])
 
 
 def _require_match(spec: MarketSpec, beliefs: BeliefSet) -> None:
@@ -384,9 +289,7 @@ def _require_match(spec: MarketSpec, beliefs: BeliefSet) -> None:
         raise ValueError("belief set and allocations disagree on the number of agents")
 
 
-def solve_equilibrium(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
-                      picard_tol: float = 1e-10, picard_max: int = 50,
-                      rannacher: int = 2) -> EquilibriumSolution:
+def solve_equilibrium(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> EquilibriumSolution:
     """Solve the coupled backward system for all agents plus the aggregate.
 
     d_t v_i + 0.5 sigma_i^2 d_xx v_i + b_i d_x v_i + (G'/G)(v_i - v) = 0 with
@@ -402,33 +305,16 @@ def solve_equilibrium(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
     ts = grid.ts(spec.horizon_T)
     xs = grid.xs
     terminal = np.tile(np.asarray(spec.payoff(xs), dtype=float), (n, 1))
-    ops = [_Operator(xs, beliefs.agents[i].drift, beliefs.agents[i].vol) for i in range(n)]
-    coupling = lambda t: log_deriv(kern, t)
     a0 = spec.supply_a0
-    if a0 != 0.0:
-        src = lambda t, x: -(kern.lam * log_deriv(kern, t) ** 2 / n) * a0 * np.ones_like(x)
-        sources = [src] * n
-    else:
-        sources = None
-    vi, iters = _march(ts, xs, ops, terminal, coupling=coupling, sources=sources,
-                       rannacher=rannacher, picard_tol=picard_tol, picard_max=picard_max)
     c_ts = log_deriv(kern, ts)
+    vi = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], terminal, coupling=c_ts,
+                source=lambda t: -(kern.lam * log_deriv(kern, t) ** 2 / n) * a0)
     v = vi.mean(axis=0) + (kern.lam / n) * c_ts[:, None] * a0
-    sol = EquilibriumSolution(
-        ts=ts, xs=xs, v=v, dv_dx=_dv_dx(v, grid.h), vi=vi, spec=spec, beliefs=beliefs,
-        metadata={
-            "fingerprint": spec_fingerprint(spec, beliefs, grid),
-            "picard_tol": picard_tol,
-            "picard_max": picard_max,
-            "rannacher": rannacher,
-            "max_picard_sweeps": int(max(iters)),
-            "grid": [grid.x_min, grid.x_max, grid.nx, grid.nt],
-        })
-    return sol
+    return EquilibriumSolution(ts=ts, xs=xs, v=v, dv_dx=_dv_dx(v, grid.h), vi=vi,
+                               spec=spec, beliefs=beliefs)
 
 
-def solve_frictionless(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
-                       rannacher: int = 2) -> GridSurface:
+def solve_frictionless(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> GridSurface:
     """Representative-agent price: d_t v + 0.5 sbar^2 d_xx v + bbar d_x v = gamma a0 / N.
 
     Averaged coefficients, terminal payoff f; requires gamma > 0 (lambda
@@ -440,16 +326,13 @@ def solve_frictionless(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
     ts = grid.ts(spec.horizon_T)
     xs = grid.xs
     terminal = np.asarray(spec.payoff(xs), dtype=float)[None, :]
-    op = _Operator(xs, beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))
     g = spec.kernel.gamma * spec.supply_a0 / beliefs.n_agents
-    sources = [lambda t, x: -g * np.ones_like(x)] if g != 0.0 else None
-    v, _ = _march(ts, xs, [op], terminal, coupling=None, sources=sources, rannacher=rannacher)
-    v = v[0]
+    v = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
+               terminal, source=lambda t: -g)[0]
     return GridSurface(ts=ts, xs=xs, v=v, dv_dx=_dv_dx(v, grid.h))
 
 
-def solve_risk_neutral(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
-                       rannacher: int = 2):
+def solve_risk_neutral(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D):
     """Zero-holding-cost system: each v_i solves L^i v_i = 0; price is the mean.
 
     Returns (aggregate GridSurface, list of per-agent GridSurfaces).
@@ -459,8 +342,7 @@ def solve_risk_neutral(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
     ts = grid.ts(spec.horizon_T)
     xs = grid.xs
     terminal = np.tile(np.asarray(spec.payoff(xs), dtype=float), (n, 1))
-    ops = [_Operator(xs, beliefs.agents[i].drift, beliefs.agents[i].vol) for i in range(n)]
-    vi, _ = _march(ts, xs, ops, terminal, coupling=None, sources=None, rannacher=rannacher)
+    vi = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], terminal)
     v = vi.mean(axis=0)
     agg = GridSurface(ts=ts, xs=xs, v=v, dv_dx=_dv_dx(v, grid.h))
     per = [GridSurface(ts=ts, xs=xs, v=vi[i], dv_dx=_dv_dx(vi[i], grid.h)) for i in range(n)]

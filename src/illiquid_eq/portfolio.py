@@ -13,7 +13,6 @@ a finite family of smooth deterministic test directions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .kernel import CostKernel, log_deriv
 from .model import MarketSpec
-from .simulate import SimulationBatch
+from .simulate import SimulationBatch, exit_fraction
 
 __all__ = [
     "StrategyPath",
@@ -57,6 +56,7 @@ class StrategyBatch:
     rates: list
     spec: MarketSpec
     rate_scale: float = 1.0
+    exit_frac: float = 0.0     # fraction of paths that left the surface's domain
 
     @property
     def n_agents(self) -> int:
@@ -71,20 +71,6 @@ class StrategyBatch:
             ts=self.ts, state=self.state[p],
             positions=np.stack([phi[p] for phi in self.positions]),
             rates=np.stack([r[p] for r in self.rates]))
-
-    def to_csv(self, path, p: int) -> None:
-        """Debug dump of one path's strategies."""
-        sp = self.path(p)
-        n = self.n_agents
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x"] + [f"phi{i+1}" for i in range(n)]
-                       + [f"rate{i+1}" for i in range(n)])
-            for k, t in enumerate(self.ts):
-                row = [f"{t:.12g}", f"{sp.state[k]:.12g}"]
-                row += [f"{sp.positions[i, k]:.12g}" for i in range(n)]
-                row += [f"{sp.rates[i, k]:.12g}" for i in range(n)]
-                w.writerow(row)
 
 
 def equilibrium_rate(i: int, t: float, phi, vi_at, v_at, kernel: CostKernel):
@@ -141,19 +127,17 @@ def integrate_strategies(surface, spec: MarketSpec, batch: SimulationBatch,
     solutions).  Positions are allocation + cumsum(rate * dt), so they sum
     to the supply up to roundoff whenever the allocations do.
     ``rate_scale`` != 1 deliberately misscales the rate, for
-    optimality-detection tests.  Errors out if any path leaves the spatial
-    domain of the surface.
+    optimality-detection tests.  Paths leaving the surface's spatial domain
+    follow ``simulate.exit_fraction``: up to ``MAX_EXIT_FRACTION`` of them
+    are integrated on the surface's linear extension and their fraction is
+    recorded as ``exit_frac``; more raise ``DomainExitError``.
     """
     kern = spec.kernel
     if kern.gamma <= 0 or kern.lam <= 0:
         raise ValueError("strategy integration needs gamma > 0 and lambda > 0")
     X = batch.paths
     ts = batch.ts
-    lo, hi = surface.x_bounds
-    if X.min() < lo or X.max() > hi:
-        raise ValueError(
-            f"path exits spatial grid: state range [{X.min():.6g}, {X.max():.6g}] "
-            f"vs domain [{lo:.6g}, {hi:.6g}]")
+    exit_frac = exit_fraction(X, surface.x_bounds)
     c = log_deriv(kern, ts)
     forcing = _forcing_rows(surface, spec, ts, X, c)
     positions, rates = [], []
@@ -162,7 +146,7 @@ def integrate_strategies(surface, spec: MarketSpec, batch: SimulationBatch,
         positions.append(phi)
         rates.append(rate)
     return StrategyBatch(ts=ts, state=X, positions=positions, rates=rates,
-                         spec=spec, rate_scale=rate_scale)
+                         spec=spec, rate_scale=rate_scale, exit_frac=exit_frac)
 
 
 def clearing_residual(strategies, a0: Optional[float] = None) -> float:

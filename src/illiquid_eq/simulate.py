@@ -5,11 +5,17 @@ Randomness comes from the counter-based Philox generator keyed by
 bit-reproducible for a fixed (seed, mesh, path count) regardless of
 execution order or thread count.  Beliefs tagged "ou" are sampled with
 exact transition densities; anything else uses Euler-Maruyama.
+
+Paths may leave the spatial domain of a grid price surface.  One rule,
+``exit_fraction``, governs every consumer: up to ``MAX_EXIT_FRACTION`` of
+the paths may exit, and they are evaluated on the surface's linear
+extension beyond the edges (consistent with its zero-curvature boundary
+condition); more raise ``DomainExitError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -17,11 +23,29 @@ import numpy as np
 from .kernel import CostKernel, ratio, ratio_increment
 from .model import BeliefSet
 
-__all__ = ["SimulationBatch", "DomainExitError", "simulate", "feynman_kac_vi"]
+__all__ = ["SimulationBatch", "DomainExitError", "MAX_EXIT_FRACTION", "exit_fraction",
+           "simulate", "feynman_kac_vi"]
+
+MAX_EXIT_FRACTION = 0.01
 
 
-class DomainExitError(RuntimeError):
+class DomainExitError(ValueError):
     """Too many simulated paths left the price surface's spatial domain."""
+
+
+def exit_fraction(paths: np.ndarray, x_bounds) -> float:
+    """Fraction of paths (rows) that leave [lo, hi] at some mesh time.
+
+    Raises DomainExitError when it exceeds MAX_EXIT_FRACTION.
+    """
+    lo, hi = x_bounds
+    n_exit = int(np.count_nonzero((paths.min(axis=1) < lo) | (paths.max(axis=1) > hi)))
+    frac = n_exit / paths.shape[0]
+    if frac > MAX_EXIT_FRACTION:
+        raise DomainExitError(
+            f"path exits spatial grid: {n_exit} of {paths.shape[0]} paths leave "
+            f"[{lo:.6g}, {hi:.6g}], more than the {MAX_EXIT_FRACTION:g} fraction allowed")
+    return frac
 
 
 @dataclass
@@ -84,6 +108,8 @@ def simulate(beliefs: BeliefSet, measure: Union[int, str], x0: float, t0: float,
     """
     if nt < 2:
         raise ValueError("need at least 2 steps")
+    if npaths < 1:
+        raise ValueError("need at least 1 path")
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
     agent_index, drift, vol = _measure_coeffs(beliefs, measure)
@@ -117,15 +143,14 @@ def simulate(beliefs: BeliefSet, measure: Union[int, str], x0: float, t0: float,
 
 
 def feynman_kac_vi(beliefs: BeliefSet, i: int, v_surface, kernel: CostKernel,
-                   t: float, x: float, npaths: int, seed: int, nt: int = 400,
-                   max_exit_fraction: float = 0.01):
+                   t: float, x: float, npaths: int, seed: int, nt: int = 400):
     """Monte Carlo estimate of agent i's value at (t, x) from the price surface.
 
     Estimates  E^i[f(X_T)]/G(t) - int_t^T (G'(u)/G(t)) E^i[v(u, X_u)] du
     by simulating under Q_i.  The u-quadrature is trapezoidal in the price
     with the kernel weight integrated exactly over each substep, so constant
-    surfaces are reproduced exactly.  Paths leaving the surface domain are
-    counted; more than ``max_exit_fraction`` of them aborts the call.
+    surfaces are reproduced exactly.  Paths leaving the surface domain
+    follow ``exit_fraction``'s rule.
 
     Returns (estimate, standard_error).
     """
@@ -134,13 +159,7 @@ def feynman_kac_vi(beliefs: BeliefSet, i: int, v_surface, kernel: CostKernel,
     X = batch.paths
     ts = batch.ts
 
-    lo, hi = v_surface.x_bounds
-    exited = np.any((X < lo) | (X > hi), axis=1)
-    n_exit = int(exited.sum())
-    if n_exit > max_exit_fraction * npaths:
-        raise DomainExitError(
-            f"{n_exit}/{npaths} paths left the surface domain [{lo:g}, {hi:g}]")
-
+    exit_fraction(X, v_surface.x_bounds)
     vals = np.empty((npaths, len(ts)))
     for k in range(len(ts)):
         vals[:, k] = np.asarray(v_surface.value(ts[k], X[:, k]), dtype=float)

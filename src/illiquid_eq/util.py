@@ -1,22 +1,10 @@
-"""Small shared helpers: thread cap and deterministic CSV writing."""
+"""The package's one CSV writer: every table it emits goes through write_csv."""
 
 from __future__ import annotations
 
 import csv
-import os
 
-__all__ = ["max_threads", "write_csv"]
-
-
-def max_threads(default: int = 4) -> int:
-    """Parallelism cap: ILLIQUID_EQ_THREADS if set, else min(default, cpus)."""
-    env = os.environ.get("ILLIQUID_EQ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(default, os.cpu_count() or 1))
+__all__ = ["write_csv"]
 
 
 def write_csv(path, header, rows) -> None:
@@ -30,5 +18,4 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([fmt(v) for v in row])
+        w.writerows([fmt(v) for v in row] for row in rows)

@@ -1,7 +1,8 @@
-"""Command line: verify exit codes on degenerate markets."""
+"""Command line: exit codes on degenerate markets and the files each command writes."""
 
 import json
 
+import numpy as np
 import pytest
 
 from illiquid_eq.cli import main
@@ -42,10 +43,21 @@ def _verify(config, tmp_path, *args):
     return code, json.loads(report.read_text()) if report.exists() else None
 
 
+def _oks(node):
+    if "ok" in node:
+        yield node["ok"]
+    else:
+        for child in node.values():
+            yield from _oks(child)
+
+
 def test_constant_beliefs_pass(config, tmp_path):
     code, report = _verify(config, tmp_path, *CONSTANT)
     assert code == 0
     assert all(g["value"] <= 3.0 for g in report["checks"]["gateaux"].values())
+    assert all(g["exit_frac"] == 0.0 for g in report["checks"]["gateaux"].values())
+    oks = list(_oks(report["checks"]))
+    assert len(oks) == 7 and all(type(ok) is bool for ok in oks)
 
 
 def test_constant_beliefs_sabotage_detected(config, tmp_path):
@@ -67,3 +79,39 @@ def test_odd_step_count_is_input_error(config, tmp_path, capsys):
     code, _ = _verify(config, tmp_path, *CONSTANT, "--set", "numerics.mc={paths: 50, steps: 101}")
     assert code == 2
     assert "even number of time steps" in capsys.readouterr().err
+
+
+def test_paths_leaving_narrow_grid_are_input_error(config, tmp_path, capsys):
+    code, report = _verify(config, tmp_path, *CONSTANT,
+                           "--set", "numerics.grid={x_min: 0.9, x_max: 1.1, nx: 41, nt: 61}",
+                           "--set", "numerics.mc={paths: 50, steps: 20}")
+    assert code == 2 and report is None
+    assert "path exits spatial grid" in capsys.readouterr().err
+
+
+def test_pde_solve_writes_only_the_csv(config, tmp_path):
+    out = tmp_path / "out"
+    code = main(["pde-solve", "--config", str(config), "--out", str(out),
+                 "--set", "numerics.grid={x_min: 0.53, x_max: 1.97, nx: 21, nt: 11}"])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["equilibrium.csv"]
+
+
+def test_asymptotics_sweeps_honour_supply(config, tmp_path):
+    # the supply lowers every gamma-sweep price, and the rescaled gap and its
+    # closed form by the same a0 T / N, so their difference does not move
+    small = ["--set", "numerics.grid={x_min: 0.53, x_max: 1.97, nx: 41, nt: 61}",
+             "--set", "numerics.ode_steps=300", "--set", "numerics.refine=2"]
+    tables = []
+    for a0, allocations in ((0.0, "[1.0, -1.0]"), (1.0, "[1.0, 0.0]")):
+        out = tmp_path / f"supply_{a0:g}"
+        code = main(["asymptotics", "--config", str(config), "--out", str(out), *small,
+                     "--set", f"model.supply={a0}", "--set", f"model.allocations={allocations}"])
+        assert code == 0
+        tables.append(np.loadtxt(out / "gamma_sweep.csv", delimiter=",", skiprows=1))
+    base, supplied = tables
+    gammas = base[:, 0]
+    # prices are written to 12 significant digits
+    np.testing.assert_allclose(base[:, 1] - supplied[:, 1], gammas * 3.0 / 2, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(supplied[:, 2] - supplied[:, 3], base[:, 2] - base[:, 3],
+                               rtol=1e-6)

@@ -8,7 +8,7 @@ from illiquid_eq.kernel import CostKernel, log_deriv, ratio
 from illiquid_eq.model import MarketSpec
 from illiquid_eq.ou import (AbSolution, IntegrationBlowupError, OuModel,
                             frictionless_price, hc_correction_closed, ou_beliefs,
-                            perceived_drift_frictionless, price,
+                            perceived_drift_frictionless,
                             risk_neutral_price, solve_ab, tc_correction_closed,
                             volatility_curve)
 from illiquid_eq.pde import Grid1D, solve_equilibrium
@@ -83,14 +83,14 @@ class TestSolveAb:
 class TestPrice:
     def test_mean_is_fixed_point(self, fx_model, fx_ab):
         for t in (0.0, 1.1, 3.0):
-            assert price(fx_model, fx_ab, t, 1.25) == pytest.approx(1.25, rel=1e-12)
+            assert fx_ab.value(t, 1.25) == pytest.approx(1.25, rel=1e-12)
 
     def test_terminal_is_state(self, fx_model, fx_ab):
         for x in (0.7, 1.0, 1.6):
-            assert price(fx_model, fx_ab, 3.0, x) == pytest.approx(x, rel=1e-12)
+            assert fx_ab.value(3.0, x) == pytest.approx(x, rel=1e-12)
 
     def test_calibrated_point(self, fx_model, fx_ab):
-        v = price(fx_model, fx_ab, 0.0, 1.0)
+        v = fx_ab.value(0.0, 1.0)
         assert V0_RISK_NEUTRAL < v < V0_FRICTIONLESS
         assert v == pytest.approx(1.19052, abs=0.003)
         assert v == pytest.approx(PRICE_BOTH, abs=1e-10)

@@ -6,10 +6,8 @@ import pytest
 from illiquid_eq.kernel import CostKernel, log_deriv
 from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec, constant_beliefs
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
-from illiquid_eq.pde import (CouplingIterationError, DegenerateVolatilityError,
-                             Grid1D, cache_load, default_grid, solve_equilibrium,
-                             solve_frictionless, solve_risk_neutral,
-                             spec_fingerprint)
+from illiquid_eq.pde import (DegenerateVolatilityError, Grid1D, _march, default_grid,
+                             solve_equilibrium, solve_frictionless, solve_risk_neutral)
 from illiquid_eq.simulate import feynman_kac_vi, simulate
 
 from conftest import interior_mask
@@ -71,6 +69,19 @@ class TestSolveEquilibrium:
         oracle_i = np.array([[ab.agent_value(0, t, x) for x in sol.xs[box]] for t in sol.ts])
         assert np.max(np.abs(sol.vi[0][:, box] - oracle_i)) <= 1e-4
 
+    def test_matches_ode_oracle_three_agents(self, fx_kernel):
+        m = OuModel(kappas=(0.8625, 0.2875, 0.5), mean_X=1.25, sigma=0.128, horizon_T=3.0)
+        beliefs = ou_beliefs(m)
+        spec = MarketSpec(kernel=fx_kernel, supply_a0=0.0, allocations=(1.0, -1.0, 0.0),
+                          payoff=lambda x: np.asarray(x, dtype=float) + 0.0)
+        sol = solve_equilibrium(spec, beliefs, default_grid(beliefs))
+        ab = solve_ab(m, fx_kernel, n_steps=6000)
+        box = interior_mask(sol.xs)
+        T, X = np.meshgrid(sol.ts, sol.xs[box], indexing="ij")
+        assert np.max(np.abs(sol.v[:, box] - ab.value(T, X))) <= 1e-4
+        for i in range(3):
+            assert np.max(np.abs(sol.vi[i][:, box] - ab.agent_value(i, T, X))) <= 1e-4
+
     def test_homogeneous_beliefs_match_simulated_expectation(self):
         # identical agents: price is the common expectation less the supply drag
         payoff = lambda x: np.tanh(np.asarray(x, dtype=float))
@@ -125,10 +136,6 @@ class TestSolveEquilibrium:
         with pytest.raises(DegenerateVolatilityError):
             solve_equilibrium(spec, beliefs, small_grid)
 
-    def test_picard_cap_raises_with_history(self, fx_spec, fx_beliefs, small_grid):
-        with pytest.raises(CouplingIterationError) as err:
-            solve_equilibrium(fx_spec, fx_beliefs, small_grid, picard_max=1)
-        assert hasattr(err.value, "residuals")
 
     def test_grid_refinement_order(self, fx_kernel):
         # smooth non-affine payoff so the spatial error is visible
@@ -226,18 +233,49 @@ class TestExportAndCache:
         assert lines[0] == "t,x,v,v1,v2,dv_dx"
         assert len(lines) == 1 + 4 * 5
 
-    def test_cache_roundtrip(self, fx_spec, fx_beliefs, tmp_path):
-        g = Grid1D(1.0, 1.5, 7, 5)
-        sol = solve_equilibrium(fx_spec, fx_beliefs, g)
-        path = sol.cache_save(tmp_path)
-        back = cache_load(path)
-        assert np.array_equal(back.v, sol.v)
-        assert np.array_equal(back.vi, sol.vi)
-        assert back.metadata["fingerprint"] == sol.metadata["fingerprint"]
 
-    def test_fingerprint_sensitivity(self, fx_spec, fx_beliefs):
-        g = Grid1D(1.0, 1.5, 7, 5)
-        base = spec_fingerprint(fx_spec, fx_beliefs, g)
-        other_spec = MarketSpec(kernel=fx_spec.kernel.scaled(2.0), supply_a0=0.0,
-                                allocations=fx_spec.allocations, payoff=fx_spec.payoff)
-        assert spec_fingerprint(other_spec, fx_beliefs, g) != base
+def _dense_operator(xs, drift, vol, t):
+    """L = 0.5 sigma^2 d_xx + b d_x with the zero-curvature edge rows, dense."""
+    nx, h = len(xs), xs[1] - xs[0]
+    b, s2 = drift(t, xs), vol(t, xs) ** 2
+    L = np.zeros((nx, nx))
+    for j in range(1, nx - 1):
+        L[j, j - 1] = 0.5 * s2[j] / h**2 - b[j] / (2 * h)
+        L[j, j] = -s2[j] / h**2
+        L[j, j + 1] = 0.5 * s2[j] / h**2 + b[j] / (2 * h)
+    L[0, :2] = [-b[0] / h, b[0] / h]
+    L[-1, -2:] = [-b[-1] / h, b[-1] / h]
+    return L
+
+
+class TestMarch:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_three_steps_match_dense_solve(self, n):
+        # time-dependent coefficients, coupling and sources; the reference
+        # assembles the same theta scheme (two implicit-Euler start-up steps,
+        # then Crank-Nicolson) agent-major and solves it densely
+        xs = np.linspace(-1.0, 2.0, 9)
+        ts = np.array([0.0, 0.1, 0.25, 0.45])
+        nx = len(xs)
+        coeffs = [(lambda t, x, i=i: (0.3 + 0.2 * i) * (0.5 - x) * (1.0 + t),
+                   lambda t, x, i=i: 0.4 + 0.1 * i + 0.05 * np.sin(x + t)) for i in range(n)]
+        c = -1.5 * (1.0 + ts)
+        source = lambda t: np.stack([np.cos((i + 1) * xs) * (1.0 + t) for i in range(n)])
+        terminal = np.stack([np.sin(xs + i) for i in range(n)])
+        got = _march(ts, xs, coeffs, terminal, coupling=c, source=source)
+
+        mean = np.kron(np.full((n, n), 1.0 / n), np.eye(nx))
+
+        def system(m):
+            K = np.zeros((n * nx, n * nx))
+            for i, (b, s) in enumerate(coeffs):
+                K[i * nx:(i + 1) * nx, i * nx:(i + 1) * nx] = _dense_operator(xs, b, s, ts[m])
+            return K + c[m] * (np.eye(n * nx) - mean)
+
+        v = terminal.ravel()
+        for m, theta in ((2, 1.0), (1, 1.0), (0, 0.5)):
+            dt = ts[m + 1] - ts[m]
+            rhs = v + dt * (1.0 - theta) * system(m + 1) @ v \
+                + dt * source(0.5 * (ts[m] + ts[m + 1])).ravel()
+            v = np.linalg.solve(np.eye(n * nx) - dt * theta * system(m), rhs)
+            assert np.max(np.abs(got[:, m].ravel() - v)) <= 1e-12

@@ -11,7 +11,7 @@ from illiquid_eq.portfolio import (bump_directions, clearing_residual,
                                    cumulative_positions, equilibrium_rate,
                                    gateaux_residual, integrate_strategies,
                                    objective)
-from illiquid_eq.simulate import simulate
+from illiquid_eq.simulate import DomainExitError, simulate
 
 
 def _identity(x):
@@ -100,6 +100,24 @@ class TestIntegrateStrategies:
         sol = solve_equilibrium(fx_spec, fx_beliefs, g)
         with pytest.raises(ValueError, match="exits spatial grid"):
             integrate_strategies(sol, fx_spec, fx_batch)
+
+    @pytest.mark.parametrize("n_out", [1, 3])
+    def test_exit_fraction_rule(self, fx_spec, fx_beliefs, n_out):
+        # up to 1% of the paths may leave the grid; they are integrated on the
+        # surface's linear extension and counted
+        batch = simulate(fx_beliefs, 0, 1.0, 0.0, 3.0, 50, 200, seed=7)
+        tops = np.sort(batch.paths.max(axis=1))[::-1]
+        hi = 0.5 * (tops[n_out - 1] + tops[n_out])   # exactly n_out paths rise above hi
+        grid = Grid1D(batch.paths.min() - 0.1, hi, 41, 61)
+        sol = solve_equilibrium(fx_spec, fx_beliefs, grid)
+        if n_out == 1:
+            strat = integrate_strategies(sol, fx_spec, batch)
+            assert strat.exit_frac == 1 / 200
+            assert clearing_residual(strat) <= 1e-6
+        else:
+            with pytest.raises(DomainExitError, match="path exits spatial grid") as err:
+                integrate_strategies(sol, fx_spec, batch)
+            assert isinstance(err.value, ValueError)
 
 
 class TestClearing:

@@ -89,6 +89,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(fx_beliefs, 7, 1.0, 0.0, 3.0, 10, 5, seed=4)
 
+    def test_path_count_validation(self, fx_beliefs):
+        # an empty batch has no exit fraction and no Monte Carlo estimate
+        with pytest.raises(ValueError, match="at least 1 path"):
+            simulate(fx_beliefs, 0, 1.0, 0.0, 3.0, 10, 0, seed=4)
+
 
 class TestFeynmanKac:
     def test_constant_surface_exact(self, fx_beliefs):
