@@ -22,7 +22,7 @@ from .pde import (Grid1D, GridSurface, _dv_dx, _interp2, _march, solve_frictionl
 __all__ = ["CorrectionSurface", "SmoothnessError", "tc_correction", "hc_correction"]
 
 
-class SmoothnessError(RuntimeError):
+class SmoothnessError(ValueError):
     """Payoff too rough for the derivative chain; smooth it or refine the grid."""
 
 

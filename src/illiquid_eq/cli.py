@@ -187,9 +187,41 @@ def cmd_pde_solve(cfg: RunConfig, out: Path) -> list:
     return [path]
 
 
+def _write_sweeps(spec, m, num, out: Path) -> list:
+    """Price at (0, x_eval) as lambda, then gamma, shrinks, against the closed forms."""
+    x = num["x_eval"]
+    g0, l0, T = spec.kernel.gamma, spec.kernel.lam, spec.horizon_T
+    lams = [l0 * 4.0 ** (-k) for k in range(5)]
+    gammas = [g0 * 2.0 ** (-k) for k in range(5)]
+    kernels = [CostKernel(g0, lam, T) for lam in lams] + [CostKernel(g, l0, T) for g in gammas]
+    # one batch on one mesh, fine enough for the stiffest lambda (50 steps per unit of a*T)
+    steps = max([num["ode_steps"]] + [int(50 * k.rate_a * T) for k in kernels[:5]])
+    a0 = spec.supply_a0
+    prices = [ab.value(0.0, x)
+              for ab in oumod.solve_ab_batch(m, kernels, n_steps=steps, supply_a0=a0)]
+
+    # the supply lowers the price by gamma a0 T/N and the holding-cost
+    # correction by a0 T/N; the risk-neutral price does not see it
+    shift = a0 * T / m.n_agents
+    v0f = oumod.frictionless_price(m, 0.0, x) - g0 * shift
+    v0r, _ = oumod.risk_neutral_price(m, 0.0, x)
+    tc_target = oumod.tc_correction_closed(m, g0, 0.0, x)
+    hc_target = oumod.hc_correction_closed(m, l0, 0.0, x) - shift \
+        if m.kappas_distinct else float("nan")
+    p_lam, p_gam = out / "lambda_sweep.csv", out / "gamma_sweep.csv"
+    write_csv(p_lam, ["lambda", "price", "rescaled_gap", "closed_form"],
+              [(lam, v, (v - v0f) / np.sqrt(lam), tc_target)
+               for lam, v in zip(lams, prices[:5])])
+    write_csv(p_gam, ["gamma", "price", "rescaled_gap", "closed_form"],
+              [(g, v, (v - v0r) / g, hc_target) for g, v in zip(gammas, prices[5:])])
+    return [p_lam, p_gam]
+
+
 def cmd_asymptotics(cfg: RunConfig, out: Path) -> list:
     spec, beliefs, m, grid = _build(cfg)
     num = _numerics(cfg)
+    # the sweeps run first, so costs too extreme for the ODE fail before the PDE work
+    sweeps = _write_sweeps(spec, m, num, out) if m is not None else []
     files = []
     tc = asy.tc_correction(spec, beliefs, grid, refine=num["refine"])
     hc = asy.hc_correction(spec, beliefs, grid)
@@ -197,42 +229,7 @@ def cmd_asymptotics(cfg: RunConfig, out: Path) -> list:
         p = out / name
         surf.to_csv(p)
         files.append(p)
-
-    x = num["x_eval"]
-    if m is not None:
-        # the supply lowers the price by gamma a0 T/N and the holding-cost
-        # correction by a0 T/N; the risk-neutral price does not see it
-        a0 = spec.supply_a0
-        shift = a0 * spec.horizon_T / m.n_agents
-        v0f = oumod.frictionless_price(m, 0.0, x) - spec.kernel.gamma * shift
-        v0r, _ = oumod.risk_neutral_price(m, 0.0, x)
-        tc_target = oumod.tc_correction_closed(m, spec.kernel.gamma, 0.0, x)
-        rows = []
-        for k in range(5):
-            lam_k = spec.kernel.lam * 4.0 ** (-k)
-            kern_k = CostKernel(spec.kernel.gamma, lam_k, spec.horizon_T)
-            a = kern_k.rate_a
-            steps = max(num["ode_steps"], int(50 * a * spec.horizon_T))
-            ab = oumod.solve_ab(m, kern_k, n_steps=steps, supply_a0=a0)
-            vl = ab.value(0.0, x)
-            rows.append((lam_k, vl, (vl - v0f) / np.sqrt(lam_k), tc_target))
-        p = out / "lambda_sweep.csv"
-        write_csv(p, ["lambda", "price", "rescaled_gap", "closed_form"], rows)
-        files.append(p)
-
-        hc_target = oumod.hc_correction_closed(m, spec.kernel.lam, 0.0, x) - shift \
-            if m.kappas_distinct else float("nan")
-        rows = []
-        for k in range(5):
-            g_k = spec.kernel.gamma * 2.0 ** (-k)
-            kern_k = CostKernel(g_k, spec.kernel.lam, spec.horizon_T)
-            ab = oumod.solve_ab(m, kern_k, n_steps=num["ode_steps"], supply_a0=a0)
-            vg = ab.value(0.0, x)
-            rows.append((g_k, vg, (vg - v0r) / g_k, hc_target))
-        p = out / "gamma_sweep.csv"
-        write_csv(p, ["gamma", "price", "rescaled_gap", "closed_form"], rows)
-        files.append(p)
-    return files
+    return files + sweeps
 
 
 def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
@@ -349,14 +346,18 @@ def cmd_figures(cfg: RunConfig, out: Path) -> list:
     num = _numerics(cfg)
     m = _require_ou(m, "figures")
     x = num["x_eval"]
-    ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"])
+    a0 = spec.supply_a0
+    ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=a0)
     ts = ab.ts[:: max(1, len(ab.ts) // 600)]
     bbar, env_lo, env_hi = oumod.volatility_curve(m, ab, ts)
-    price_both = m.mean_X + (x - m.mean_X) * bbar
-    price_no_tc = oumod.frictionless_price(m, ts, x)
-    price_no_hc, _ = oumod.risk_neutral_price(m, ts, x)
+    # the supply lowers the price by gamma a0 (T - t)/N and the holding-cost
+    # correction by a0 (T - t)/N; the risk-neutral price does not see it
+    shift = a0 * (spec.horizon_T - ts) / m.n_agents
     gamma = spec.kernel.gamma
-    vstar = oumod.hc_correction_closed(m, spec.kernel.lam, ts, x) \
+    price_both = ab.value(ts, x)
+    price_no_tc = oumod.frictionless_price(m, ts, x) - gamma * shift
+    price_no_hc, _ = oumod.risk_neutral_price(m, ts, x)
+    vstar = oumod.hc_correction_closed(m, spec.kernel.lam, ts, x) - shift \
         if m.kappas_distinct else None
     err_un = price_no_hc - price_both
     files = []
@@ -471,10 +472,8 @@ def main(argv=None) -> int:
         for f in files:
             print(f)
         return 0
-    except (ConfigError, cal.CalibrationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # ConfigError, CalibrationError and the solvers' errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

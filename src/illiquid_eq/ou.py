@@ -6,8 +6,10 @@ coefficients A_i(t), B_i(t) of the per-agent prices v_i = A_i + B_i x.
 The aggregate price is mean(v_i) = mean + (x - mean) * Bbar(t) for zero net
 supply; a supply a0 shifts it by -gamma a0 (T - t)/N and each agent's price
 by a further -lam a0 G'/(N G).  This module integrates those ODEs backward
-with classical RK4 and evaluates the closed-form frictionless / risk-neutral
-prices and both leading-order small-cost corrections.
+with classical RK4, for a whole stack of cost kernels in one march
+(``solve_ab_batch``; ``solve_ab`` is a stack of one), and evaluates the
+closed-form frictionless / risk-neutral prices and both leading-order
+small-cost corrections.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "IntegrationBlowupError",
     "ou_beliefs",
     "solve_ab",
+    "solve_ab_batch",
+    "MAX_STEPS",
     "frictionless_price",
     "risk_neutral_price",
     "perceived_drift_frictionless",
@@ -35,7 +39,7 @@ __all__ = [
 ]
 
 
-class IntegrationBlowupError(RuntimeError):
+class IntegrationBlowupError(ValueError):
     """RK4 state became non-finite: gamma/lambda too extreme for n_steps."""
 
 
@@ -186,57 +190,84 @@ class AbSolution:
         return float(out) if (np.isscalar(t) and np.ndim(x) == 0) else out
 
 
-def _rhs(model: OuModel, kernel: CostKernel, t: float, A: np.ndarray, B: np.ndarray):
-    kap = np.asarray(model.kappas)
-    c = log_deriv(kernel, t)
-    dB = kap * B + c * (B.mean() - B)
-    dA = c * (A.mean() - A) - model.mean_X * kap * B
-    return dA, dB
+# RK4 steps allowed per solve; a batch of S kernels holds 4 (n_steps + 1) S N doubles
+MAX_STEPS = 200_000
 
 
-def solve_ab(model: OuModel, kernel: CostKernel, n_steps: int = 3000,
-             supply_a0: float = 0.0) -> AbSolution:
-    """Backward classical RK4 from t = T with A(T) = 0, B(T) = 1.
+def solve_ab_batch(model: OuModel, kernels, n_steps: int = 3000,
+                   supply_a0: float = 0.0) -> list:
+    """Backward classical RK4 from t = T with A(T) = 0, B(T) = 1, for a stack of kernels.
 
-    Fixed step T/n_steps; the default covers gamma/lambda up to ~1e3 at
-    T = 3.  Raises IntegrationBlowupError if the state leaves float range.
-    The supply ``supply_a0`` is recorded on the solution, which adds its
-    closed-form price shift.
+    The S kernels share the fixed step T/n_steps and march together as one
+    (S, 2, N) state of (A, B); the default covers gamma/lambda up to ~1e3 at
+    T = 3.  The tracking speed c = G'/G of every kernel is evaluated once, on
+    the nodes t_m, the half-nodes t_m - h/2 and the stage times t_m - h.  A
+    kernel's solution is bit for bit the same in any batch.  Raises
+    ValueError above MAX_STEPS steps, before allocating anything, and
+    IntegrationBlowupError, naming the kernel, if the state leaves float
+    range.  The supply ``supply_a0`` is recorded on every solution, which
+    adds its closed-form price shift.  Returns one AbSolution per kernel, in
+    order, each holding its own contiguous (n_steps + 1, N) arrays.
     """
+    kernels = list(kernels)
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
     if supply_a0 < 0.0:
         raise ValueError("supply must be nonnegative")
-    if kernel.gamma <= 0 or kernel.lam <= 0:
-        raise ValueError("both costs must be positive for the coupled system")
-    if abs(kernel.horizon_T - model.horizon_T) > 1e-12:
-        raise ValueError("kernel and model horizons differ")
+    for kernel in kernels:
+        if kernel.gamma <= 0 or kernel.lam <= 0:
+            raise ValueError("both costs must be positive for the coupled system")
+        if abs(kernel.horizon_T - model.horizon_T) > 1e-12:
+            raise ValueError("kernel and model horizons differ")
+    if n_steps > MAX_STEPS:
+        stiff = max(kernels, key=lambda k: k.rate_a)
+        raise ValueError(
+            f"n_steps={n_steps} exceeds {MAX_STEPS} RK4 steps (stiffest kernel gamma="
+            f"{stiff.gamma:g}, lambda={stiff.lam:g}); costs this extreme need another solver")
     n = model.n_agents
     h = model.horizon_T / n_steps
     ts = np.linspace(0.0, model.horizon_T, n_steps + 1)
-    A = np.zeros((n_steps + 1, n))
-    B = np.zeros((n_steps + 1, n))
-    dA = np.zeros_like(A)
-    dB = np.zeros_like(B)
-    B[-1] = 1.0
-    dA[-1], dB[-1] = _rhs(model, kernel, ts[-1], A[-1], B[-1])
+    # c at the nodes t_m, the half-nodes t_m - h/2 and t_m - h, as (steps, S, 1, 1)
+    c_node, c_half, c_end = (np.stack([log_deriv(k, t) for k in kernels], axis=1)[:, :, None, None]
+                             for t in (ts, ts[1:] - h / 2, ts[1:] - h))
+    kap = np.asarray(model.kappas)
+    drift = model.mean_X * kap
+
+    def deriv(c, Y):
+        """dA = c (mean A - A) - mean_X kap B and dB = kap B + c (mean B - B)."""
+        d = c * (Y.sum(axis=2, keepdims=True) / n - Y)
+        d[:, 0] -= drift * Y[:, 1]
+        d[:, 1] += kap * Y[:, 1]
+        return d
+
+    # state Y[m, s] = (A, B) of kernel s at t_m, shape (2, N)
+    Y = np.zeros((n_steps + 1, len(kernels), 2, n))
+    dY = np.zeros_like(Y)
+    Y[-1, :, 1] = 1.0
+    dY[-1] = deriv(c_node[-1], Y[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(n_steps, 0, -1):
-            t = ts[m]
-            a0, b0 = A[m], B[m]
-            k1a, k1b = dA[m], dB[m]
-            k2a, k2b = _rhs(model, kernel, t - h / 2, a0 - h / 2 * k1a, b0 - h / 2 * k1b)
-            k3a, k3b = _rhs(model, kernel, t - h / 2, a0 - h / 2 * k2a, b0 - h / 2 * k2b)
-            k4a, k4b = _rhs(model, kernel, t - h, a0 - h * k3a, b0 - h * k3b)
-            A[m - 1] = a0 - h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-            B[m - 1] = b0 - h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-            if not (np.all(np.isfinite(A[m - 1])) and np.all(np.isfinite(B[m - 1]))):
+            y0, k1 = Y[m], dY[m]
+            k2 = deriv(c_half[m - 1], y0 - h / 2 * k1)
+            k3 = deriv(c_half[m - 1], y0 - h / 2 * k2)
+            k4 = deriv(c_end[m - 1], y0 - h * k3)
+            y1 = Y[m - 1] = y0 - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.isfinite(y1).all():
+                bad = kernels[int(np.argmin(np.isfinite(y1).all(axis=(1, 2))))]
                 raise IntegrationBlowupError(
-                    f"non-finite state at t={ts[m-1]:.6g}; gamma/lambda too extreme for "
-                    f"n_steps={n_steps}")
-            dA[m - 1], dB[m - 1] = _rhs(model, kernel, ts[m - 1], A[m - 1], B[m - 1])
-    return AbSolution(ts=ts, A=A, B=B, dA=dA, dB=dB, model=model, kernel=kernel,
-                      supply_a0=float(supply_a0))
+                    f"non-finite state at t={ts[m-1]:.6g}; gamma={bad.gamma:g}, "
+                    f"lambda={bad.lam:g} too extreme for n_steps={n_steps}")
+            dY[m - 1] = deriv(c_node[m - 1], y1)
+    return [AbSolution(ts=ts, A=Y[:, s, 0].copy(), B=Y[:, s, 1].copy(), dA=dY[:, s, 0].copy(),
+                       dB=dY[:, s, 1].copy(), model=model, kernel=kernel,
+                       supply_a0=float(supply_a0))
+            for s, kernel in enumerate(kernels)]
+
+
+def solve_ab(model: OuModel, kernel: CostKernel, n_steps: int = 3000,
+             supply_a0: float = 0.0) -> AbSolution:
+    """Backward RK4 solution for one kernel: ``solve_ab_batch`` with a stack of one."""
+    return solve_ab_batch(model, [kernel], n_steps, supply_a0)[0]
 
 
 def frictionless_price(model: OuModel, t, x):

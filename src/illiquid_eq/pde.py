@@ -12,13 +12,14 @@ both edges, which is exact for affine solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .kernel import log_deriv
 from .model import BeliefSet, MarketSpec
-from .util import write_csv
+from .util import CHUNK_ROWS, write_csv
 
 __all__ = [
     "Grid1D",
@@ -35,7 +36,7 @@ __all__ = [
 RANNACHER_STEPS = 2
 
 
-class DegenerateVolatilityError(RuntimeError):
+class DegenerateVolatilityError(ValueError):
     """A squared volatility is nonpositive somewhere on the grid."""
 
 
@@ -218,7 +219,8 @@ class GridSurface:
         """One row per (t, x) node: t, x, then each (nt, nx) field at the node."""
         T, X = np.meshgrid(self.ts, self.xs, indexing="ij")
         table = np.stack([f.ravel() for f in (T, X, *fields)], axis=1)
-        write_csv(path, header, (row.tolist() for row in table))
+        write_csv(path, header, chain.from_iterable(
+            table[i:i + CHUNK_ROWS].tolist() for i in range(0, len(table), CHUNK_ROWS)))
 
 
 @dataclass

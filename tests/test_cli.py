@@ -1,11 +1,14 @@
 """Command line: exit codes on degenerate markets and the files each command writes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from illiquid_eq.cli import main
+from illiquid_eq.kernel import CostKernel
+from illiquid_eq.ou import OuModel, solve_ab
 
 OU_FX = """\
 model:
@@ -115,3 +118,74 @@ def test_asymptotics_sweeps_honour_supply(config, tmp_path):
     np.testing.assert_allclose(base[:, 1] - supplied[:, 1], gammas * 3.0 / 2, rtol=0, atol=1e-11)
     np.testing.assert_allclose(supplied[:, 2] - supplied[:, 3], base[:, 2] - base[:, 3],
                                rtol=1e-6)
+
+
+EXTREME_COSTS = ["--set", "model.costs={gamma: 1.0, lambda: 1.0e-9}"]
+SMALL = ["--set", "numerics.grid={x_min: 0.53, x_max: 1.97, nx: 41, nt: 61}",
+         "--set", "numerics.ode_steps=300", "--set", "numerics.refine=2"]
+
+
+def test_ode_blowup_is_input_error(config, tmp_path, capsys):
+    code = main(["ou-solve", "--config", str(config), "--out", str(tmp_path / "out"),
+                 *EXTREME_COSTS, "--set", "numerics.ode_steps=100"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "non-finite state" in err and "gamma=1, lambda=1e-09" in err
+    assert "Traceback" not in err
+
+
+def test_asymptotics_step_bound_is_input_error(config, tmp_path, capsys):
+    # the lambda sweep would ask for 50 a T = 75.9M RK4 steps at lambda = 1e-9/256;
+    # the bound rejects that before any sweep or PDE work is done
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    code = main(["asymptotics", "--config", str(config), "--out", str(out),
+                 *SMALL, *EXTREME_COSTS])
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "n_steps=75894663 exceeds 200000" in err and "lambda=3.90625e-12" in err
+    assert list(out.iterdir()) == []
+
+
+def _cells(path):
+    lines = path.read_text().splitlines()
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_asymptotics_sweep_rows_equal_single_solves(config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["asymptotics", "--config", str(config), "--out", str(out), *SMALL]) == 0
+    m = OuModel(kappas=(0.8625, 0.2875), mean_X=1.25, sigma=0.128, horizon_T=3.0)
+    lams = [1e-7 * 4.0 ** (-k) for k in range(5)]
+    gammas = [1e-8 * 2.0 ** (-k) for k in range(5)]
+    # the whole batch takes the lambda sweep's finest mesh, 50 a T steps
+    steps = max(300, int(50 * CostKernel(1e-8, lams[-1], 3.0).rate_a * 3.0))
+    assert steps == 758
+    for name, kernels in (("lambda_sweep.csv", [CostKernel(1e-8, lam, 3.0) for lam in lams]),
+                          ("gamma_sweep.csv", [CostKernel(g, 1e-7, 3.0) for g in gammas])):
+        rows = _cells(out / name)
+        assert len(rows) == 5
+        for row, kern in zip(rows, kernels):
+            assert row[1] == f"{solve_ab(m, kern, steps).value(0.0, 1.0):.12g}"
+
+
+def test_figures_honour_supply(config, tmp_path):
+    tables = {}
+    for a0, allocations in ((0.0, "[1.0, -1.0]"), (1.0, "[1.0, 0.0]")):
+        out = tmp_path / f"supply_{a0:g}"
+        code = main(["figures", "--config", str(config), "--out", str(out),
+                     "--set", "numerics.ode_steps=600", "--set", f"model.supply={a0}",
+                     "--set", f"model.allocations={allocations}"])
+        assert code == 0
+        tables[a0] = {name: np.loadtxt(out / f"{name}.csv", delimiter=",", skiprows=1)
+                      for name in ("fig_prices", "fig_error_corrected")}
+    base, supplied = tables[0.0]["fig_prices"], tables[1.0]["fig_prices"]
+    drop = 1e-8 * (3.0 - base[:, 0]) / 2
+    assert drop.max() > 1e-9
+    # prices are written to 12 significant digits
+    for col in (1, 2):   # price_both_costs, price_no_tc
+        np.testing.assert_allclose(base[:, col] - supplied[:, col], drop, rtol=0, atol=1e-11)
+    np.testing.assert_array_equal(base[:, 3], supplied[:, 3])   # price_no_hc
+    np.testing.assert_allclose(tables[1.0]["fig_error_corrected"],
+                               tables[0.0]["fig_error_corrected"], rtol=0, atol=1e-12)

@@ -6,11 +6,11 @@ from scipy.integrate import quad
 
 from illiquid_eq.kernel import CostKernel, log_deriv, ratio
 from illiquid_eq.model import MarketSpec
-from illiquid_eq.ou import (AbSolution, IntegrationBlowupError, OuModel,
+from illiquid_eq.ou import (MAX_STEPS, AbSolution, IntegrationBlowupError, OuModel,
                             frictionless_price, hc_correction_closed, ou_beliefs,
                             perceived_drift_frictionless,
-                            risk_neutral_price, solve_ab, tc_correction_closed,
-                            volatility_curve)
+                            risk_neutral_price, solve_ab, solve_ab_batch,
+                            tc_correction_closed, volatility_curve)
 from illiquid_eq.pde import Grid1D, solve_equilibrium
 
 # frozen direct evaluations at the calibrated parameters, (t, x) = (0, 1)
@@ -78,6 +78,78 @@ class TestSolveAb:
             ab2 = solve_ab(fx_model, fx_kernel.scaled(c), 500)
             assert np.max(np.abs(ab1.B - ab2.B)) <= 1e-10
             assert np.max(np.abs(ab1.A - ab2.A)) <= 1e-10
+
+
+def _sweep_kernels(gamma=1e-8, lam=1e-7, horizon=3.0):
+    """The ten kernels of the asymptotics sweeps on ou_fx.yaml."""
+    return ([CostKernel(gamma, lam * 4.0 ** (-k), horizon) for k in range(5)]
+            + [CostKernel(gamma * 2.0 ** (-k), lam, horizon) for k in range(5)])
+
+
+def _rk4_reference(model, kernel, n_steps):
+    """One kernel, one step at a time, c(t) from a scalar log_deriv per stage."""
+    kap = np.asarray(model.kappas)
+
+    def rhs(t, A, B):
+        c = log_deriv(kernel, t)
+        return c * (A.mean() - A) - model.mean_X * kap * B, kap * B + c * (B.mean() - B)
+
+    h = model.horizon_T / n_steps
+    ts = np.linspace(0.0, model.horizon_T, n_steps + 1)
+    A, B = np.zeros((n_steps + 1, model.n_agents)), np.zeros((n_steps + 1, model.n_agents))
+    dA, dB = np.zeros_like(A), np.zeros_like(B)
+    B[-1] = 1.0
+    dA[-1], dB[-1] = rhs(ts[-1], A[-1], B[-1])
+    for m in range(n_steps, 0, -1):
+        t, a0, b0 = ts[m], A[m], B[m]
+        k2a, k2b = rhs(t - h / 2, a0 - h / 2 * dA[m], b0 - h / 2 * dB[m])
+        k3a, k3b = rhs(t - h / 2, a0 - h / 2 * k2a, b0 - h / 2 * k2b)
+        k4a, k4b = rhs(t - h, a0 - h * k3a, b0 - h * k3b)
+        A[m - 1] = a0 - h / 6 * (dA[m] + 2 * k2a + 2 * k3a + k4a)
+        B[m - 1] = b0 - h / 6 * (dB[m] + 2 * k2b + 2 * k3b + k4b)
+        dA[m - 1], dB[m - 1] = rhs(ts[m - 1], A[m - 1], B[m - 1])
+    return A, B, dA, dB
+
+
+class TestSolveAbBatch:
+    @pytest.mark.parametrize("kappas", [(0.8625, 0.2875), (0.8625, 0.2875, 0.5)])
+    def test_batch_equals_one_by_one(self, kappas):
+        # the ten sweep kernels in one march give, bit for bit, the one-kernel solves
+        m = OuModel(kappas=kappas, mean_X=1.25, sigma=0.128, horizon_T=3.0)
+        kernels = _sweep_kernels()
+        batch = solve_ab_batch(m, kernels, 1000, supply_a0=0.5)
+        for ab, kern in zip(batch, kernels):
+            one = solve_ab(m, kern, 1000, supply_a0=0.5)
+            assert ab.kernel is kern and ab.supply_a0 == 0.5
+            for name in ("ts", "A", "B", "dA", "dB"):
+                assert np.array_equal(getattr(ab, name), getattr(one, name))
+            for arr in (ab.A, ab.B, ab.dA, ab.dB):
+                assert arr.shape == (1001, len(kappas)) and arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("kappas", [(0.8625, 0.2875), (0.8625, 0.2875, 0.5)])
+    def test_matches_stepwise_reference(self, kappas):
+        # the same arithmetic as a scalar march with one log_deriv call per stage
+        m = OuModel(kappas=kappas, mean_X=1.25, sigma=0.128, horizon_T=3.0)
+        kernels = _sweep_kernels()[::4]
+        for ab, kern in zip(solve_ab_batch(m, kernels, 400), kernels):
+            ref = _rk4_reference(m, kern, 400)
+            for got, want in zip((ab.A, ab.B, ab.dA, ab.dB), ref):
+                assert np.array_equal(got, want)
+
+    def test_blowup_names_the_kernel(self, fx_model, fx_kernel):
+        harsh = CostKernel(1e-2, 1e-12, 3.0)
+        with pytest.raises(IntegrationBlowupError, match=r"gamma=0\.01, lambda=1e-12"):
+            solve_ab_batch(fx_model, [fx_kernel, harsh, fx_kernel.scaled(2.0)], 100)
+
+    def test_step_bound(self, fx_model, fx_kernel):
+        with pytest.raises(ValueError, match=f"n_steps={MAX_STEPS + 1} exceeds"):
+            solve_ab_batch(fx_model, [fx_kernel], MAX_STEPS + 1)
+
+    def test_every_kernel_validated(self, fx_model, fx_kernel):
+        with pytest.raises(ValueError, match="horizons differ"):
+            solve_ab_batch(fx_model, [fx_kernel, CostKernel(1e-8, 1e-7, 2.0)], 200)
+        with pytest.raises(ValueError, match="both costs"):
+            solve_ab_batch(fx_model, [fx_kernel, CostKernel(0.0, 1e-7, 3.0)], 200)
 
 
 class TestPrice:
