@@ -11,8 +11,6 @@ themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import BeliefSet, MarketSpec
@@ -26,11 +24,8 @@ class SmoothnessError(ValueError):
     """Payoff too rough for the derivative chain; smooth it or refine the grid."""
 
 
-@dataclass
 class CorrectionSurface(GridSurface):
     """First-order correction surface; vanishes identically at t = T."""
-
-    which: str = ""    # "transaction" or "holding"
 
     def to_csv(self, path) -> None:
         self._write_csv(path, ["t", "x", "v_star", "dv_star_dx"], [self.v, self.dv_dx])
@@ -57,8 +52,6 @@ def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
     feedback function.
     """
     gamma = spec.kernel.gamma
-    if gamma <= 0:
-        raise ValueError("transaction-cost correction needs gamma > 0")
     n = beliefs.n_agents
     fine = grid.refined(refine)
     v0 = solve_frictionless(spec, beliefs, fine)
@@ -99,7 +92,7 @@ def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
     w = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
                np.zeros((1, len(xs))),
                source=lambda t: _interp2(fts, fxs, smoothed, np.full_like(xs, t), xs))[0]
-    return CorrectionSurface(ts=ts, xs=xs, v=w, dv_dx=_dv_dx(w, grid.h), which="transaction")
+    return CorrectionSurface(ts=ts, xs=xs, v=w, dv_dx=_dv_dx(w, grid.h))
 
 
 def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> CorrectionSurface:
@@ -110,8 +103,6 @@ def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Correct
     finite-difference solver, then averages and subtracts (T-t) a0 / N.
     """
     lam = spec.kernel.lam
-    if lam <= 0:
-        raise ValueError("holding-cost correction needs lambda > 0")
     n = beliefs.n_agents
     v0, vis = solve_risk_neutral(spec, beliefs, grid)
     ts, xs = v0.ts, v0.xs
@@ -125,5 +116,4 @@ def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Correct
     w = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], np.zeros((n, len(xs))),
                source=source)
     v_star = w.mean(axis=0) - np.outer(T - ts, np.ones_like(xs)) * spec.supply_a0 / n
-    return CorrectionSurface(ts=ts, xs=xs, v=v_star, dv_dx=_dv_dx(v_star, grid.h),
-                             which="holding")
+    return CorrectionSurface(ts=ts, xs=xs, v=v_star, dv_dx=_dv_dx(v_star, grid.h))

@@ -1,8 +1,11 @@
 """Command-line orchestration: config-driven solves, verification, figures.
 
 One declarative YAML (or JSON) config with three sections drives every
-command; ``--set section.key=value`` overrides individual keys.  Exit codes:
-0 success, 1 verification failure, 2 input error.
+command; ``--set section.key=value`` overrides individual keys.  The config
+is read in one place, ``_build``: a missing key, a value of the wrong type
+or an invalid market is a ``ConfigError``.  Each command is one entry of
+``COMMANDS``.  Exit codes: 0 success, 1 verification failure, 2 input error
+(every ``ValueError``, with a message and no traceback).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from importlib.resources import files as package_files
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +90,12 @@ class RunConfig:
             node = getattr(self, parts[0])
             for p in parts[1:-1]:
                 node = node.setdefault(p, {})
-            node[parts[-1]] = yaml.safe_load(value)
+                if not isinstance(node, dict):
+                    raise ConfigError(f"--set {dotted}: '{p}' is not a mapping")
+            try:
+                node[parts[-1]] = yaml.safe_load(value)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"--set {dotted}: cannot parse {value!r}: {exc}")
 
 
 def _payoff_from(cfg: dict):
@@ -104,18 +113,29 @@ def _payoff_from(cfg: dict):
 
 
 def _build(cfg: RunConfig):
-    m = cfg.model
+    """(spec, beliefs, OU model or None, grid, numerics) of a config.
+
+    The one place that reads the model and numerics sections: a missing key
+    or a value of the wrong type raises ConfigError, as does a market that
+    fails ``validate``.
+    """
     try:
-        horizon = float(m["horizon"])
-        costs = m["costs"]
-        gamma = float(costs["gamma"])
-        lam = float(costs["lambda"])
-        bel = m["beliefs"]
+        return _read(cfg)
     except KeyError as exc:
-        raise ConfigError(f"missing model key: {exc}")
-    kernel = CostKernel(gamma=gamma, lam=lam, horizon_T=horizon)
+        raise ConfigError(f"missing config key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"malformed config value: {exc}") from None
+
+
+def _read(cfg: RunConfig):
+    m = cfg.model
+    horizon = float(m["horizon"])
+    costs = m["costs"]
+    kernel = CostKernel(gamma=float(costs["gamma"]), lam=float(costs["lambda"]),
+                        horizon_T=horizon)
 
     ou_model = None
+    bel = m["beliefs"]
     btype = bel.get("type")
     if btype == "ou":
         ou_model = oumod.OuModel(kappas=tuple(float(k) for k in bel["kappas"]),
@@ -136,7 +156,8 @@ def _build(cfg: RunConfig):
                       allocations=tuple(float(a) for a in allocations),
                       payoff=_payoff_from(m))
 
-    gcfg = cfg.numerics.get("grid")
+    n = cfg.numerics
+    gcfg = n.get("grid")
     if gcfg:
         grid = pde.Grid1D(x_min=float(gcfg["x_min"]), x_max=float(gcfg["x_max"]),
                           nx=int(gcfg.get("nx", 241)), nt=int(gcfg.get("nt", 601)))
@@ -148,13 +169,9 @@ def _build(cfg: RunConfig):
     report = validate(spec, beliefs, (grid.x_min, grid.x_max))
     if not report.ok:
         raise ConfigError(f"invalid model: {report}")
-    return spec, beliefs, ou_model, grid
 
-
-def _numerics(cfg: RunConfig):
-    n = cfg.numerics
     mc = n.get("mc", {}) or {}
-    return {
+    num = {
         "ode_steps": int(n.get("ode_steps", 3000)),
         "seed": int(n.get("seed", 3)),
         "x_eval": float(n.get("x_eval", 1.0)),
@@ -162,6 +179,12 @@ def _numerics(cfg: RunConfig):
         "paths": int(mc.get("paths", 10000)),
         "steps": int(mc.get("steps", 600)),
     }
+    if num["paths"] < 2:
+        raise ConfigError(f"numerics.mc.paths must be at least 2 for a standard error, "
+                          f"got {num['paths']}")
+    if num["seed"] < 0:
+        raise ConfigError(f"numerics.seed must be nonnegative, got {num['seed']}")
+    return spec, beliefs, ou_model, grid, num
 
 
 def _require_ou(ou_model, what: str):
@@ -170,21 +193,30 @@ def _require_ou(ou_model, what: str):
     return ou_model
 
 
-def cmd_ou_solve(cfg: RunConfig, out: Path) -> list:
-    spec, beliefs, m, _ = _build(cfg)
-    num = _numerics(cfg)
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+
+
+# Each command takes (config, output directory, parsed arguments) and returns
+# (files written, verdict): the verdict is None for commands without checks.
+
+def cmd_ou_solve(cfg: RunConfig, out: Path, args) -> tuple:
+    spec, _, m, _, num = _build(cfg)
     m = _require_ou(m, "ou-solve")
     ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=spec.supply_a0)
     path = out / "ab_curves.csv"
     oumod.curves_csv(m, ab, path, x_eval=num["x_eval"])
-    return [path]
+    return [path], None
 
-def cmd_pde_solve(cfg: RunConfig, out: Path) -> list:
-    spec, beliefs, _, grid = _build(cfg)
+
+def cmd_pde_solve(cfg: RunConfig, out: Path, args) -> tuple:
+    spec, beliefs, _, grid, _ = _build(cfg)
     sol = pde.solve_equilibrium(spec, beliefs, grid)
     path = out / "equilibrium.csv"
     sol.to_csv(path)
-    return [path]
+    return [path], None
 
 
 def _write_sweeps(spec, m, num, out: Path) -> list:
@@ -217,9 +249,8 @@ def _write_sweeps(spec, m, num, out: Path) -> list:
     return [p_lam, p_gam]
 
 
-def cmd_asymptotics(cfg: RunConfig, out: Path) -> list:
-    spec, beliefs, m, grid = _build(cfg)
-    num = _numerics(cfg)
+def cmd_asymptotics(cfg: RunConfig, out: Path, args) -> tuple:
+    spec, beliefs, m, grid, num = _build(cfg)
     # the sweeps run first, so costs too extreme for the ODE fail before the PDE work
     sweeps = _write_sweeps(spec, m, num, out) if m is not None else []
     files = []
@@ -229,12 +260,11 @@ def cmd_asymptotics(cfg: RunConfig, out: Path) -> list:
         p = out / name
         surf.to_csv(p)
         files.append(p)
-    return files + sweeps
+    return files + sweeps, None
 
 
 def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
-    spec, beliefs, m, grid = _build(cfg)
-    num = _numerics(cfg)
+    spec, beliefs, m, grid, num = _build(cfg)
     T = spec.horizon_T
     x0 = num["x_eval"]
     rate_scale = 1.5 if sabotage else 1.0
@@ -244,15 +274,12 @@ def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
     else:
         surface = pde.solve_equilibrium(spec, beliefs, grid)
 
-    checks = {}
-
     batch = simulate.simulate(beliefs, 0, x0, 0.0, T, 2000, 100, seed=num["seed"])
     strat = portfolio.integrate_strategies(surface, spec, batch, rate_scale=rate_scale)
     resid = portfolio.clearing_residual(strat)
-    checks["clearing_residual"] = {"value": resid, "bound": 1e-6, "ok": resid <= 1e-6}
+    clearing = {"value": resid, "bound": 1e-6, "ok": resid <= 1e-6}
 
-    gate = {}
-    obj = {}
+    gate, obj, fk = {}, {}, {}
     for i in range(beliefs.n_agents):
         bi = simulate.simulate(beliefs, i, x0, 0.0, T, num["steps"], num["paths"],
                                seed=num["seed"] + i)
@@ -279,35 +306,23 @@ def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
                                           nt=num["steps"])
         exact = surface.agent_value(i, 0.0, x0)
         z = abs(est - exact) / se
-        checks[f"feynman_kac_agent_{i}"] = {"estimate": est, "surface": exact,
-                                            "z": z, "ok": z <= 3.0}
-    checks["gateaux"] = gate
-    checks["objective_perturbation"] = obj
+        fk[f"feynman_kac_agent_{i}"] = {"estimate": est, "surface": exact, "z": z,
+                                        "ok": bool(z <= 3.0)}
 
-    def collect(node):
-        if isinstance(node, dict):
-            if "ok" in node:
-                yield node["ok"]
-            else:
-                for v in node.values():
-                    yield from collect(v)
-
-    passed = all(collect(checks))
+    passed = all(node["ok"] for node in [clearing, *gate.values(), *obj.values(), *fk.values()])
+    checks = {"clearing_residual": clearing, "gateaux": gate, "objective_perturbation": obj, **fk}
     return {"passed": passed, "sabotage": sabotage, "checks": checks}
 
 
-def cmd_verify(cfg: RunConfig, out: Path, sabotage: bool = False) -> tuple:
-    report = _verify_report(cfg, sabotage)
+def cmd_verify(cfg: RunConfig, out: Path, args) -> tuple:
+    report = _verify_report(cfg, args.sabotage)
     path = out / "verify_report.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-    return report, [path]
+    _write_json(path, report)
+    return [path], report["passed"]
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, dump: bool = False) -> list:
-    spec, beliefs, _, grid = _build(cfg)
-    num = _numerics(cfg)
+def cmd_simulate(cfg: RunConfig, out: Path, args) -> tuple:
+    spec, beliefs, _, _, num = _build(cfg)
     rows = []
     files = []
     for measure in list(range(beliefs.n_agents)) + ["average"]:
@@ -316,34 +331,29 @@ def cmd_simulate(cfg: RunConfig, out: Path, dump: bool = False) -> list:
         XT = batch.paths[:, -1]
         rows.append((batch.measure, batch.npaths, float(XT.mean()), float(XT.std(ddof=1)),
                      float(batch.paths.min()), float(batch.paths.max())))
-        if dump:
+        if args.dump_paths:
+            k = min(batch.npaths, 20)
             p = out / f"paths_{batch.measure}.csv"
-            write_csv(p, ["t"] + [f"path{j}" for j in range(min(batch.npaths, 20))],
-                      [(float(batch.ts[k]), *[float(batch.paths[j, k])
-                                              for j in range(min(batch.npaths, 20))])
-                       for k in range(len(batch.ts))])
+            write_csv(p, ["t"] + [f"path{j}" for j in range(k)],
+                      np.column_stack([batch.ts, batch.paths[:k].T]).tolist())
             files.append(p)
     p = out / "simulation_summary.csv"
     write_csv(p, ["measure", "paths", "terminal_mean", "terminal_std", "min", "max"], rows)
-    return [p] + files
+    return [p] + files, None
 
 
-def cmd_calibrate(csv_path, out: Path, max_lag: int = 60,
-                  spacing_dt: float = 1.0 / 252.0) -> list:
-    series = cal.ingest_csv(csv_path, spacing_dt=spacing_dt)
-    est = cal.estimate_ou(series, max_lag=max_lag)
-    report = {"kappa_bar": est.kappa_bar, "mean_X": est.mean_X, "sigma": est.sigma,
-              "diagnostics": est.diagnostics, "source": str(csv_path)}
+def cmd_calibrate(cfg, out: Path, args) -> tuple:
+    """Fit the OU parameters to ``--csv`` (default: the packaged USD/EUR series)."""
+    csv_path = args.csv or str(package_files("illiquid_eq").joinpath("data/dexuseu_2009_2019.csv"))
+    est = cal.estimate_ou(cal.ingest_csv(csv_path), max_lag=args.max_lag)
     path = out / "calibration.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-    return [path]
+    _write_json(path, {"kappa_bar": est.kappa_bar, "mean_X": est.mean_X, "sigma": est.sigma,
+                       "diagnostics": est.diagnostics, "source": str(csv_path)})
+    return [path], None
 
 
-def cmd_figures(cfg: RunConfig, out: Path) -> list:
-    spec, beliefs, m, _ = _build(cfg)
-    num = _numerics(cfg)
+def cmd_figures(cfg: RunConfig, out: Path, args) -> tuple:
+    spec, _, m, _, num = _build(cfg)
     m = _require_ou(m, "figures")
     x = num["x_eval"]
     a0 = spec.supply_a0
@@ -355,56 +365,48 @@ def cmd_figures(cfg: RunConfig, out: Path) -> list:
     shift = a0 * (spec.horizon_T - ts) / m.n_agents
     gamma = spec.kernel.gamma
     price_both = ab.value(ts, x)
-    price_no_tc = oumod.frictionless_price(m, ts, x) - gamma * shift
     price_no_hc, _ = oumod.risk_neutral_price(m, ts, x)
-    vstar = oumod.hc_correction_closed(m, spec.kernel.lam, ts, x) - shift \
-        if m.kappas_distinct else None
-    err_un = price_no_hc - price_both
-    files = []
-
-    p = out / "fig_prices.csv"
-    write_csv(p, ["t", "price_both_costs", "price_no_tc", "price_no_hc"],
-              zip(ts.tolist(), price_both.tolist(), price_no_tc.tolist(),
-                  price_no_hc.tolist()))
-    files.append(p)
-    svgplot.line_plot(out / "fig_prices.svg",
-                      [(ts, price_both, "both costs", "solid"),
-                       (ts, price_no_tc, "no trading cost", "dotted"),
-                       (ts, price_no_hc, "no holding cost", "dashed")],
-                      title=f"Equilibrium price at x={x:g}", xlabel="t", ylabel="price")
-    files.append(out / "fig_prices.svg")
-
     sig = m.sigma
-    p = out / "fig_volatilities.csv"
-    write_csv(p, ["t", "vol_both_costs", "vol_no_tc", "vol_no_hc"],
-              zip(ts.tolist(), (sig * bbar).tolist(), (sig * env_lo).tolist(),
-                  (sig * env_hi).tolist()))
-    files.append(p)
-    svgplot.line_plot(out / "fig_volatilities.svg",
-                      [(ts, sig * bbar, "both costs", "solid"),
-                       (ts, sig * env_lo, "no trading cost", "dotted"),
-                       (ts, sig * env_hi, "no holding cost", "dashed")],
-                      title="Equilibrium volatility", xlabel="t", ylabel="volatility")
-    files.append(out / "fig_volatilities.svg")
 
-    p = out / "fig_error_uncorrected.csv"
-    write_csv(p, ["t", "error"], zip(ts.tolist(), err_un.tolist()))
-    files.append(p)
-    svgplot.line_plot(out / "fig_error_uncorrected.svg",
-                      [(ts, err_un, "risk-neutral minus exact", "solid")],
-                      title="Approximation error, zeroth order", xlabel="t", ylabel="error")
-    files.append(out / "fig_error_uncorrected.svg")
+    # (file stem, title, y label, curves of (CSV column, values, legend, line style))
+    figures = [
+        ("fig_prices", f"Equilibrium price at x={x:g}", "price",
+         [("price_both_costs", price_both, "both costs", "solid"),
+          ("price_no_tc", oumod.frictionless_price(m, ts, x) - gamma * shift,
+           "no trading cost", "dotted"),
+          ("price_no_hc", price_no_hc, "no holding cost", "dashed")]),
+        ("fig_volatilities", "Equilibrium volatility", "volatility",
+         [("vol_both_costs", sig * bbar, "both costs", "solid"),
+          ("vol_no_tc", sig * env_lo, "no trading cost", "dotted"),
+          ("vol_no_hc", sig * env_hi, "no holding cost", "dashed")]),
+        ("fig_error_uncorrected", "Approximation error, zeroth order", "error",
+         [("error", price_no_hc - price_both, "risk-neutral minus exact", "solid")]),
+    ]
+    if m.kappas_distinct:
+        vstar = oumod.hc_correction_closed(m, spec.kernel.lam, ts, x) - shift
+        figures.append(("fig_error_corrected", "Approximation error, first order", "error",
+                        [("error", price_no_hc + gamma * vstar - price_both,
+                          "corrected minus exact", "solid")]))
+    files = []
+    for stem, title, ylabel, curves in figures:
+        csv_path, svg_path = out / f"{stem}.csv", out / f"{stem}.svg"
+        write_csv(csv_path, ["t"] + [c[0] for c in curves],
+                  np.column_stack([ts] + [c[1] for c in curves]).tolist())
+        svgplot.line_plot(svg_path, [(ts, y, label, style) for _, y, label, style in curves],
+                          title=title, xlabel="t", ylabel=ylabel)
+        files += [csv_path, svg_path]
+    return files, None
 
-    if vstar is not None:
-        err_co = price_no_hc + gamma * vstar - price_both
-        p = out / "fig_error_corrected.csv"
-        write_csv(p, ["t", "error"], zip(ts.tolist(), err_co.tolist()))
-        files.append(p)
-        svgplot.line_plot(out / "fig_error_corrected.svg",
-                          [(ts, err_co, "corrected minus exact", "solid")],
-                          title="Approximation error, first order", xlabel="t", ylabel="error")
-        files.append(out / "fig_error_corrected.svg")
-    return files
+
+COMMANDS = {
+    "ou-solve": cmd_ou_solve,
+    "pde-solve": cmd_pde_solve,
+    "asymptotics": cmd_asymptotics,
+    "simulate": cmd_simulate,
+    "verify": cmd_verify,
+    "calibrate": cmd_calibrate,
+    "figures": cmd_figures,
+}
 
 
 def main(argv=None) -> int:
@@ -412,9 +414,7 @@ def main(argv=None) -> int:
         prog="illiquid-eq",
         description="Equilibrium prices under heterogeneous beliefs with quadratic "
                     "holding and trading costs")
-    parser.add_argument("command",
-                        choices=["ou-solve", "pde-solve", "asymptotics", "simulate",
-                                 "verify", "calibrate", "figures"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", help="YAML/JSON run configuration")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="section.key=value", help="override a config key")
@@ -426,56 +426,35 @@ def main(argv=None) -> int:
                         help="misscale the trading rate by 1.5 (verify must then fail)")
     parser.add_argument("--dump-paths", action="store_true")
     args = parser.parse_args(argv)
+    if args.command != "calibrate" and not args.config:
+        parser.error(f"'{args.command}' requires --config")
 
     try:
-        if args.command == "calibrate":
-            out = Path(args.out or "out")
-            out.mkdir(parents=True, exist_ok=True)
-            csv_path = args.csv
-            if csv_path is None:
-                from importlib.resources import files as res_files
-                csv_path = str(res_files("illiquid_eq").joinpath(
-                    "data/dexuseu_2009_2019.csv"))
-            files = cmd_calibrate(csv_path, out, max_lag=args.max_lag)
-            for f in files:
-                print(f)
-            return 0
-
-        if not args.config:
-            parser.error(f"'{args.command}' requires --config")
-        cfg = RunConfig.from_file(args.config)
-        cfg.apply_overrides(args.overrides)
-        if args.seed is not None:
-            cfg.numerics["seed"] = args.seed
-        out = Path(args.out or cfg.output.get("directory", "out"))
+        cfg = None
+        if args.command != "calibrate":
+            cfg = RunConfig.from_file(args.config)
+            cfg.apply_overrides(args.overrides)
+            if args.seed is not None:
+                cfg.numerics["seed"] = args.seed
+        directory = args.out or (cfg.output.get("directory", "out") if cfg else "out")
+        if not isinstance(directory, str):
+            raise ConfigError(f"output.directory must be a path, got {directory!r}")
+        out = Path(directory)
         out.mkdir(parents=True, exist_ok=True)
-
-        if args.command == "ou-solve":
-            files = cmd_ou_solve(cfg, out)
-        elif args.command == "pde-solve":
-            files = cmd_pde_solve(cfg, out)
-        elif args.command == "asymptotics":
-            files = cmd_asymptotics(cfg, out)
-        elif args.command == "simulate":
-            files = cmd_simulate(cfg, out, dump=args.dump_paths)
-        elif args.command == "figures":
-            files = cmd_figures(cfg, out)
-        elif args.command == "verify":
-            report, files = cmd_verify(cfg, out, sabotage=args.sabotage)
-            for f in files:
-                print(f)
-            if not report["passed"]:
-                print("verification FAILED", file=sys.stderr)
-                return 1
-            print("verification passed")
-            return 0
-        for f in files:
-            print(f)
-        return 0
+        files, verdict = COMMANDS[args.command](cfg, out, args)
     except (ValueError, FileNotFoundError) as exc:
         # ConfigError, CalibrationError and the solvers' errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for f in files:
+        print(f)
+    if verdict is None:
+        return 0
+    if not verdict:
+        print("verification FAILED", file=sys.stderr)
+        return 1
+    print("verification passed")
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 """Overflow-safe evaluation of the hyperbolic trading-cost kernel.
 
 The kernel cosh(a*(T - t)) with a = sqrt(gamma/lambda) sets the speed at
-which optimal portfolios track their targets.  Because gamma/lambda spans
-many orders of magnitude, every quantity here is computed in
-exponent-shifted form; a raw cosh value is never materialized.  The
-degenerate limits gamma = 0 (kernel identically one) and lambda = 0
-(infinitely fast trading) are represented exactly, not by tiny epsilons.
+which optimal portfolios track their targets.  Both costs are positive,
+checked once when a kernel is built; the frictionless and risk-neutral
+limits have their own solvers and closed forms.  Because gamma/lambda
+spans many orders of magnitude, every quantity here is computed in
+exponent-shifted form; a raw cosh value is never materialized.  Scalar
+times give numpy float scalars (``float`` instances), arrays give arrays.
 """
 
 from __future__ import annotations
@@ -20,38 +21,23 @@ __all__ = ["CostKernel", "log_deriv", "ratio", "discount_integral"]
 
 @dataclass(frozen=True)
 class CostKernel:
-    """Holding cost ``gamma``, trading cost ``lam`` and horizon of one market.
-
-    ``gamma = 0`` (risk-neutral) and ``lam = 0`` (frictionless) are valid
-    special kernels; ``gamma = lam = 0`` is rejected.
-    """
+    """Holding cost ``gamma`` > 0, trading cost ``lam`` > 0 and horizon of one market."""
 
     gamma: float
     lam: float
     horizon_T: float
 
     def __post_init__(self):
-        if self.gamma < 0.0 or self.lam < 0.0:
-            raise ValueError("cost coefficients must be nonnegative")
-        if self.gamma == 0.0 and self.lam == 0.0:
-            raise ValueError("gamma and lambda cannot both be zero")
+        if not (self.gamma > 0.0 and self.lam > 0.0):
+            raise ValueError(f"both costs must be positive, got gamma={self.gamma:g}, "
+                             f"lambda={self.lam:g}")
         if not self.horizon_T > 0.0:
             raise ValueError("horizon_T must be positive")
 
     @property
     def rate_a(self) -> float:
-        """sqrt(gamma/lam); +inf sentinel for the frictionless kernel."""
-        if self.lam == 0.0:
-            return math.inf
+        """sqrt(gamma/lam)."""
         return math.sqrt(self.gamma / self.lam)
-
-    @property
-    def frictionless(self) -> bool:
-        return self.lam == 0.0
-
-    @property
-    def risk_neutral(self) -> bool:
-        return self.gamma == 0.0
 
     def scaled(self, c: float) -> "CostKernel":
         """Kernel with both costs multiplied by c (same gamma/lambda ratio)."""
@@ -66,22 +52,15 @@ def _check_times(kernel: CostKernel, *times) -> None:
             raise ValueError(f"time outside [0, T={kernel.horizon_T}]")
 
 
-def _as_input(t, out):
-    return float(out) if np.isscalar(t) else out
-
-
 def log_deriv(kernel: CostKernel, t):
     """G'(t)/G(t) = -a * tanh(a*(T - t)), the optimal tracking speed.
 
     Nonpositive, zero at t = T, and bounded below by -a; never evaluates
     cosh directly.  Vectorized over ``t``.
     """
-    if kernel.frictionless:
-        raise ValueError("frictionless kernel has no log-derivative")
     _check_times(kernel, t)
     a = kernel.rate_a
-    out = -a * np.tanh(a * (kernel.horizon_T - np.asarray(t, dtype=float)))
-    return _as_input(t, out)
+    return -a * np.tanh(a * (kernel.horizon_T - np.asarray(t, dtype=float)))
 
 
 def ratio(kernel: CostKernel, u, s):
@@ -92,31 +71,21 @@ def ratio(kernel: CostKernel, u, s):
     u >= s the ratio is at most 1 and never overflows; for u < s the true
     value itself exceeds float range once a*(s - u) > ~709.
     """
-    if kernel.frictionless:
-        raise ValueError("frictionless kernel has no cosh ratio; use the lambda=0 branches")
     _check_times(kernel, u, s)
     a = kernel.rate_a
     p = a * (kernel.horizon_T - np.asarray(u, dtype=float))
     q = a * (kernel.horizon_T - np.asarray(s, dtype=float))
-    out = np.exp(p - q) * (1.0 + np.exp(-2.0 * p)) / (1.0 + np.exp(-2.0 * q))
-    return float(out) if (np.isscalar(u) and np.isscalar(s)) else out
+    return np.exp(p - q) * (1.0 + np.exp(-2.0 * p)) / (1.0 + np.exp(-2.0 * q))
 
 
 def discount_integral(kernel: CostKernel, t):
     """int_t^T G(u)/G(t) du = sqrt(lam/gamma) * tanh(a*(T - t)).
 
-    Value lies in [0, sqrt(lam/gamma)].  For gamma = 0 the kernel is
-    identically one and the exact limit T - t is returned.
+    Value lies in [0, sqrt(lam/gamma)] and tends to T - t as gamma -> 0.
     """
-    if kernel.frictionless:
-        raise ValueError("discount integral of the frictionless kernel is undefined")
     _check_times(kernel, t)
     tau = kernel.horizon_T - np.asarray(t, dtype=float)
-    if kernel.risk_neutral:
-        return _as_input(t, tau + 0.0)
-    a = kernel.rate_a
-    out = math.sqrt(kernel.lam / kernel.gamma) * np.tanh(a * tau)
-    return _as_input(t, out)
+    return math.sqrt(kernel.lam / kernel.gamma) * np.tanh(kernel.rate_a * tau)
 
 
 def ratio_increment(kernel: CostKernel, u0, u1, t):

@@ -167,18 +167,17 @@ class AbSolution:
         out = self.model.mean_X + (np.asarray(x, dtype=float) - self.model.mean_X) * self.b_bar(t)
         if self.supply_a0:
             out = out + self._holding_shift(t)
-        return float(out) if (np.isscalar(t) and np.isscalar(x)) else out
+        return out
 
     def slope(self, t, x):
-        out = self.b_bar(t) * np.ones_like(np.asarray(x, dtype=float))
-        return float(out) if (np.isscalar(t) and np.isscalar(x)) else out
+        return self.b_bar(t) * np.ones_like(np.asarray(x, dtype=float))
 
     def agent_value(self, i: int, t, x):
         ab = self.a_at(t)[..., i] + self.b_at(t)[..., i] * np.asarray(x, dtype=float)
         if self.supply_a0:
             ab = ab + self._holding_shift(t) \
                 - self.kernel.lam * self.supply_a0 * log_deriv(self.kernel, t) / self.n_agents
-        return float(ab) if (np.isscalar(t) and np.isscalar(x)) else ab
+        return ab
 
     def agent_drift(self, i: int, t, x):
         """mu_i = L^i v: time slope of the price plus agent i's advection."""
@@ -187,7 +186,7 @@ class AbSolution:
         out = (x - m) * self.b_bar_deriv(t) + self.model.kappas[i] * (m - x) * self.b_bar(t)
         if self.supply_a0:
             out = out + self.kernel.gamma * self.supply_a0 / self.n_agents
-        return float(out) if (np.isscalar(t) and np.ndim(x) == 0) else out
+        return out
 
 
 # RK4 steps allowed per solve; a batch of S kernels holds 4 (n_steps + 1) S N doubles
@@ -215,8 +214,6 @@ def solve_ab_batch(model: OuModel, kernels, n_steps: int = 3000,
     if supply_a0 < 0.0:
         raise ValueError("supply must be nonnegative")
     for kernel in kernels:
-        if kernel.gamma <= 0 or kernel.lam <= 0:
-            raise ValueError("both costs must be positive for the coupled system")
         if abs(kernel.horizon_T - model.horizon_T) > 1e-12:
             raise ValueError("kernel and model horizons differ")
     if n_steps > MAX_STEPS:
@@ -273,9 +270,8 @@ def solve_ab(model: OuModel, kernel: CostKernel, n_steps: int = 3000,
 def frictionless_price(model: OuModel, t, x):
     """No-trading-cost limit: mean + (x - mean) * exp(-kappa_bar*(T - t))."""
     t = np.asarray(t, dtype=float)
-    out = model.mean_X + (np.asarray(x, dtype=float) - model.mean_X) \
+    return model.mean_X + (np.asarray(x, dtype=float) - model.mean_X) \
         * np.exp(-model.kappa_bar * (model.horizon_T - t))
-    return float(out) if out.ndim == 0 else out
 
 
 def risk_neutral_price(model: OuModel, t, x):
@@ -288,10 +284,7 @@ def risk_neutral_price(model: OuModel, t, x):
     tau = model.horizon_T - t
     kap = np.asarray(model.kappas)
     per = model.mean_X + (x[..., None] - model.mean_X) * np.exp(-np.multiply.outer(tau, kap))
-    agg = per.mean(axis=-1)
-    if agg.ndim == 0:
-        return float(agg), per.reshape(-1)
-    return agg, per
+    return per.mean(axis=-1), per
 
 
 def perceived_drift_frictionless(model: OuModel, i: int, t, price_level):
@@ -300,8 +293,7 @@ def perceived_drift_frictionless(model: OuModel, i: int, t, price_level):
     Positive kappa_i - kappa_bar means the agent sees mean reversion in the
     price; negative means momentum.
     """
-    out = (model.kappas[i] - model.kappa_bar) * (model.mean_X - np.asarray(price_level, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
+    return (model.kappas[i] - model.kappa_bar) * (model.mean_X - np.asarray(price_level, dtype=float))
 
 
 def tc_correction_closed(model: OuModel, gamma: float, t, x):
@@ -316,9 +308,8 @@ def tc_correction_closed(model: OuModel, gamma: float, t, x):
     tau = model.horizon_T - t
     kap = np.asarray(model.kappas)
     coef = float(np.mean((model.kappa_bar - kap) ** 2))
-    out = np.sqrt(1.0 / gamma) * coef * tau * np.exp(-model.kappa_bar * tau) \
+    return np.sqrt(1.0 / gamma) * coef * tau * np.exp(-model.kappa_bar * tau) \
         * (np.asarray(x, dtype=float) - model.mean_X)
-    return float(out) if out.ndim == 0 else out
 
 
 def hc_correction_closed(model: OuModel, lam: float, t, x):
@@ -345,8 +336,7 @@ def hc_correction_closed(model: OuModel, lam: float, t, x):
             if i != j:
                 s1 = s1 + np.exp(-kap[j] * tau) / (kap[i] - kap[j])
     s2 = tau * (n - 1) / 2.0 * np.exp(-np.multiply.outer(tau, kap)).sum(axis=-1)
-    out = (np.asarray(x, dtype=float) - model.mean_X) * tau / (lam * n * n) * (s1 - s2)
-    return float(out) if out.ndim == 0 else out
+    return (np.asarray(x, dtype=float) - model.mean_X) * tau / (lam * n * n) * (s1 - s2)
 
 
 def volatility_curve(model: OuModel, ab: AbSolution, t):

@@ -88,14 +88,14 @@ def _interp2(ts, xs, F, tq, xq):
     """Bilinear interpolation on a uniform grid, F indexed (t, x).
 
     Clamps in t; extrapolates linearly in x beyond the edges, consistent
-    with the zero-curvature boundary condition.
+    with the zero-curvature boundary condition.  Needs at least 2 time levels.
     """
     tq = np.asarray(tq, dtype=float)
     xq = np.asarray(xq, dtype=float)
-    dt = ts[1] - ts[0] if len(ts) > 1 else 1.0
+    dt = ts[1] - ts[0]
     h = xs[1] - xs[0]
-    it = np.clip(((tq - ts[0]) / dt).astype(int), 0, len(ts) - 2) if len(ts) > 1 else np.zeros(tq.shape, int)
-    wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0) if len(ts) > 1 else np.zeros_like(tq)
+    it = np.clip(((tq - ts[0]) / dt).astype(int), 0, len(ts) - 2)
+    wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0)
     ix = np.clip(((xq - xs[0]) / h).astype(int), 0, len(xs) - 2)
     wx = (xq - xs[ix]) / h  # outside [0,1] beyond the edges -> linear extrapolation
     f00 = F[it, ix]
@@ -205,15 +205,10 @@ class GridSurface:
         return (float(self.xs[0]), float(self.xs[-1]))
 
     def value(self, t, x):
-        out = _interp2(self.ts, self.xs, self.v, t, x)
-        return float(out) if (np.isscalar(t) and np.isscalar(x)) else out
+        return _interp2(self.ts, self.xs, self.v, t, x)
 
     def slope(self, t, x):
-        out = _interp2(self.ts, self.xs, self.dv_dx, t, x)
-        return float(out) if (np.isscalar(t) and np.isscalar(x)) else out
-
-    def terminal(self) -> np.ndarray:
-        return self.v[-1]
+        return _interp2(self.ts, self.xs, self.dv_dx, t, x)
 
     def _write_csv(self, path, header, fields) -> None:
         """One row per (t, x) node: t, x, then each (nt, nx) field at the node."""
@@ -246,8 +241,7 @@ class EquilibriumSolution(GridSurface):
         return None if self.spec is None else self.spec.supply_a0
 
     def agent_value(self, i: int, t, x):
-        out = _interp2(self.ts, self.xs, self.vi[i], t, x)
-        return float(out) if (np.isscalar(t) and np.isscalar(x)) else out
+        return _interp2(self.ts, self.xs, self.vi[i], t, x)
 
     def _time_slope_grid(self) -> np.ndarray:
         if "dv_dt" not in self._deriv_cache:
@@ -277,8 +271,7 @@ class EquilibriumSolution(GridSurface):
         sv = np.array([self.beliefs.vol(i, float(a), float(c)) for a, c in zip(flat_t, flat_x)])
         b = bv.reshape(tb.shape)
         s = sv.reshape(tb.shape)
-        out = dv_dt + b * dv_dx + 0.5 * s * s * dv_dxx
-        return float(out) if (np.isscalar(t) and np.isscalar(x)) else out
+        return dv_dt + b * dv_dx + 0.5 * s * s * dv_dxx
 
     def to_csv(self, path) -> None:
         """One row per (t, x) node: t, x, v, v1..vN, dv_dx."""
@@ -295,14 +288,10 @@ def solve_equilibrium(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Equ
     """Solve the coupled backward system for all agents plus the aggregate.
 
     d_t v_i + 0.5 sigma_i^2 d_xx v_i + b_i d_x v_i + (G'/G)(v_i - v) = 0 with
-    v = mean(v_i) + (lam G'/(N G)) a0 and terminal payoff f.  Requires both
-    costs positive.
+    v = mean(v_i) + (lam G'/(N G)) a0 and terminal payoff f.
     """
     _require_match(spec, beliefs)
     kern = spec.kernel
-    if kern.gamma <= 0 or kern.lam <= 0:
-        raise ValueError("coupled solve needs gamma > 0 and lambda > 0; "
-                         "use the frictionless or risk-neutral solvers otherwise")
     n = beliefs.n_agents
     ts = grid.ts(spec.horizon_T)
     xs = grid.xs
@@ -319,12 +308,9 @@ def solve_equilibrium(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Equ
 def solve_frictionless(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> GridSurface:
     """Representative-agent price: d_t v + 0.5 sbar^2 d_xx v + bbar d_x v = gamma a0 / N.
 
-    Averaged coefficients, terminal payoff f; requires gamma > 0 (lambda
-    plays no role here).
+    Averaged coefficients, terminal payoff f; lambda plays no role here.
     """
     _require_match(spec, beliefs)
-    if spec.kernel.gamma <= 0:
-        raise ValueError("frictionless equilibrium needs gamma > 0")
     ts = grid.ts(spec.horizon_T)
     xs = grid.xs
     terminal = np.asarray(spec.payoff(xs), dtype=float)[None, :]

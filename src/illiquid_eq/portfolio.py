@@ -8,7 +8,9 @@ Positions are its forward Euler integral: the initial allocation plus a
 running sum of rate * dt.  The objective is evaluated in drift form
 (int phi * L^i v dt), which drops a zero-mean martingale term and sharply
 reduces Monte Carlo variance.  First-order optimality is certified against
-a finite family of smooth deterministic test directions.
+a finite family of smooth deterministic test directions.  Both costs are
+positive (``CostKernel`` rejects anything else), so the rate ODE, its
+1/lam forcing and the objective are defined for every market.
 """
 
 from __future__ import annotations
@@ -23,27 +25,15 @@ from .model import MarketSpec
 from .simulate import SimulationBatch, exit_fraction
 
 __all__ = [
-    "StrategyPath",
     "StrategyBatch",
     "ObjectiveEstimate",
     "GateauxResult",
-    "equilibrium_rate",
     "integrate_strategies",
     "clearing_residual",
     "objective",
     "gateaux_residual",
     "bump_directions",
 ]
-
-
-@dataclass
-class StrategyPath:
-    """Positions and trading rates of all agents along one state path."""
-
-    ts: np.ndarray
-    state: np.ndarray          # (nt+1,)
-    positions: np.ndarray      # (N, nt+1)
-    rates: np.ndarray          # (N, nt+1)
 
 
 @dataclass
@@ -65,17 +55,6 @@ class StrategyBatch:
     @property
     def npaths(self) -> int:
         return self.state.shape[0]
-
-    def path(self, p: int) -> StrategyPath:
-        return StrategyPath(
-            ts=self.ts, state=self.state[p],
-            positions=np.stack([phi[p] for phi in self.positions]),
-            rates=np.stack([r[p] for r in self.rates]))
-
-
-def equilibrium_rate(i: int, t: float, phi, vi_at, v_at, kernel: CostKernel):
-    """Optimal trading rate (G'/G)(t) * phi + (v_i - v)/lam at one point."""
-    return log_deriv(kernel, t) * phi + (np.asarray(vi_at) - np.asarray(v_at)) / kernel.lam
 
 
 def _forcing_rows(surface, spec: MarketSpec, ts, X, c):
@@ -132,13 +111,10 @@ def integrate_strategies(surface, spec: MarketSpec, batch: SimulationBatch,
     are integrated on the surface's linear extension and their fraction is
     recorded as ``exit_frac``; more raise ``DomainExitError``.
     """
-    kern = spec.kernel
-    if kern.gamma <= 0 or kern.lam <= 0:
-        raise ValueError("strategy integration needs gamma > 0 and lambda > 0")
     X = batch.paths
     ts = batch.ts
     exit_frac = exit_fraction(X, surface.x_bounds)
-    c = log_deriv(kern, ts)
+    c = log_deriv(spec.kernel, ts)
     forcing = _forcing_rows(surface, spec, ts, X, c)
     positions, rates = [], []
     for i, f in enumerate(forcing):
@@ -149,20 +125,10 @@ def integrate_strategies(surface, spec: MarketSpec, batch: SimulationBatch,
                          spec=spec, rate_scale=rate_scale, exit_frac=exit_frac)
 
 
-def clearing_residual(strategies, a0: Optional[float] = None) -> float:
-    """max over mesh (and paths) of |sum_i phi_i - a0|.
-
-    For a bare StrategyPath the supply defaults to the initial position sum.
-    """
-    if isinstance(strategies, StrategyPath):
-        total = strategies.positions.sum(axis=0)
-        if a0 is None:
-            a0 = float(total[0])
-    else:
-        total = sum(strategies.positions)
-        if a0 is None:
-            a0 = strategies.spec.supply_a0
-    return float(np.max(np.abs(total - a0)))
+def clearing_residual(strategies: StrategyBatch) -> float:
+    """max over mesh and paths of |sum_i phi_i - a0|, a0 the market's supply."""
+    total = sum(strategies.positions)
+    return float(np.max(np.abs(total - strategies.spec.supply_a0)))
 
 
 @dataclass
@@ -255,9 +221,6 @@ def cumulative_positions(ts: np.ndarray, rate_rows: np.ndarray) -> np.ndarray:
 class GateauxResult:
     max_residual: float
     per_direction: np.ndarray
-
-    def __float__(self):
-        return self.max_residual
 
 
 def _foc_rows(mu: np.ndarray, phi: np.ndarray, rate: np.ndarray, dt: float,

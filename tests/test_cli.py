@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from illiquid_eq.cli import main
+from illiquid_eq.cli import COMMANDS, main
 from illiquid_eq.kernel import CostKernel
 from illiquid_eq.ou import OuModel, solve_ab
 
@@ -189,3 +189,78 @@ def test_figures_honour_supply(config, tmp_path):
     np.testing.assert_array_equal(base[:, 3], supplied[:, 3])   # price_no_hc
     np.testing.assert_allclose(tables[1.0]["fig_error_corrected"],
                                tables[0.0]["fig_error_corrected"], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("override", [
+    "numerics.grid={x_min: 0.5}",              # KeyError
+    "model.beliefs={type: ou}",
+    "model.beliefs.kappas=0.5",                # TypeError
+    "model.costs=3",
+    "numerics.grid=[1, 2]",
+    "numerics.mc=5",                           # AttributeError
+    "model.payoff=3",
+    "model.beliefs=null",
+    "model.costs.gamma.value=1",               # --set through a non-mapping
+    "model.costs={gamma: 1",                   # unparsable value
+    "numerics.seed=-1",                        # OverflowError in the path generator
+])
+def test_malformed_config_is_input_error(config, tmp_path, capsys, override):
+    code = main(["verify", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "verify_report.json").exists()
+
+
+def test_output_directory_must_be_a_path(config, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", "--config", str(config), "--set", "output.directory=5"])
+    assert code == 2
+    assert "output.directory must be a path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_zero_cost_is_input_error(config, tmp_path, capsys):
+    code = main(["pde-solve", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--set", "model.costs={gamma: 0.0, lambda: 1.0e-7}"])
+    assert code == 2
+    assert "both costs must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_single_path_is_input_error(config, tmp_path, capsys, command):
+    # one path has no standard error: verify wrote NaN and Infinity tokens
+    # and simulate a nan standard deviation
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config), "--out", str(out),
+                 "--set", "numerics.mc={paths: 1, steps: 10}"])
+    assert code == 2
+    assert "numerics.mc.paths must be at least 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_writes_the_files_it_prints(config, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = [command, "--out", str(out)]
+    if command != "calibrate":
+        args += ["--config", str(config), *SMALL]
+    if command == "simulate":
+        args.append("--dump-paths")
+    assert main(args) == 0
+    printed = capsys.readouterr().out.splitlines()
+    if command == "verify":
+        assert printed.pop() == "verification passed"
+    assert printed and sorted(printed) == sorted(str(p) for p in out.iterdir())
+
+
+def test_calibrate_rejects_unusable_series(tmp_path, capsys):
+    one_column = tmp_path / "one_column.csv"
+    one_column.write_text("DATE\n2019-01-02\n")
+    for csv_path, message in ((tmp_path / "missing.csv", "No such file"),
+                              (one_column, "at least two columns")):
+        code = main(["calibrate", "--csv", str(csv_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

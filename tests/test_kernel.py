@@ -36,13 +36,15 @@ class TestCostKernel:
         with pytest.raises(ValueError):
             CostKernel(1.0, 1.0, 0.0)
 
-    def test_special_kernels_allowed(self):
-        assert CostKernel(0.0, 1.0, 1.0).risk_neutral
-        assert CostKernel(1.0, 0.0, 1.0).frictionless
+    def test_requires_both_costs(self):
+        # the frictionless and risk-neutral limits have their own solvers and
+        # closed forms; a kernel always has gamma > 0 and lambda > 0
+        for gamma, lam in ((0.0, 1e-7), (1e-8, 0.0), (math.nan, 1e-7)):
+            with pytest.raises(ValueError, match="both costs must be positive"):
+                CostKernel(gamma, lam, 3.0)
 
     def test_rate_a(self, fx_kernel):
         assert fx_kernel.rate_a == pytest.approx(math.sqrt(0.1), rel=1e-15)
-        assert CostKernel(1.0, 0.0, 1.0).rate_a == math.inf
 
 
 class TestLogDeriv:
@@ -50,8 +52,9 @@ class TestLogDeriv:
         assert log_deriv(fx_kernel, 3.0) == 0.0
 
     def test_zero_for_risk_neutral(self):
-        k = CostKernel(0.0, 1e-7, 3.0)
-        assert log_deriv(k, 1.2345) == 0.0
+        # gamma -> 0: the tracking speed -a^2 (T - t) vanishes
+        k = CostKernel(1e-30, 1e-7, 3.0)
+        assert log_deriv(k, 1.2345) == pytest.approx(0.0, abs=1e-22)
 
     def test_frozen_value(self, fx_kernel):
         got = log_deriv(fx_kernel, 0.0)
@@ -60,7 +63,8 @@ class TestLogDeriv:
         assert got == pytest.approx(-0.23384, rel=1e-3)
 
     def test_frictionless_raises(self):
-        with pytest.raises(ValueError, match="no log-derivative"):
+        # lambda = 0 is rejected where the kernel is built
+        with pytest.raises(ValueError, match="both costs must be positive"):
             log_deriv(CostKernel(1.0, 0.0, 3.0), 0.0)
 
     def test_time_range_checked(self, fx_kernel):
@@ -75,7 +79,8 @@ class TestRatio:
         assert ratio(fx_kernel, 1.3, 1.3) == pytest.approx(1.0, rel=1e-15)
 
     def test_one_for_risk_neutral(self):
-        k = CostKernel(0.0, 1e-7, 3.0)
+        # gamma -> 0: the kernel is flat
+        k = CostKernel(1e-30, 1e-7, 3.0)
         assert ratio(k, 0.3, 2.7) == pytest.approx(1.0, rel=1e-15)
 
     def test_frozen_value(self, fx_kernel):
@@ -84,7 +89,7 @@ class TestRatio:
         assert got == pytest.approx(1.48478, abs=1e-4)
 
     def test_frictionless_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="both costs must be positive"):
             ratio(CostKernel(1.0, 0.0, 3.0), 0.0, 1.0)
 
 
@@ -102,11 +107,12 @@ class TestDiscountIntegral:
         assert got == pytest.approx(2.33837, rel=1e-3)
 
     def test_risk_neutral_limit(self):
-        k = CostKernel(0.0, 1e-7, 3.0)
-        assert discount_integral(k, 1.0) == 2.0
+        # gamma -> 0: the discounted horizon tends to T - t
+        k = CostKernel(1e-30, 1e-7, 3.0)
+        assert discount_integral(k, 1.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_frictionless_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="both costs must be positive"):
             discount_integral(CostKernel(1.0, 0.0, 3.0), 0.0)
 
 

@@ -116,13 +116,6 @@ class TestSolveEquilibrium:
             scaled = solve_equilibrium(spec_c, fx_beliefs, small_grid)
             assert np.max(np.abs(base.v - scaled.v)) <= 1e-10
 
-    def test_requires_both_costs(self, fx_beliefs, small_grid):
-        payoff = lambda x: np.asarray(x, dtype=float) + 0.0
-        spec = MarketSpec(kernel=CostKernel(0.0, 1e-7, 3.0), supply_a0=0.0,
-                          allocations=(1.0, -1.0), payoff=payoff)
-        with pytest.raises(ValueError):
-            solve_equilibrium(spec, fx_beliefs, small_grid)
-
     def test_degenerate_vol_detected(self, small_grid):
         beliefs = BeliefSet(
             agents=constant_beliefs([0.0, 0.0], [0.3, 0.3]).agents[:1] + (

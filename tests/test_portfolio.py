@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from illiquid_eq.kernel import CostKernel, log_deriv, ratio
+from illiquid_eq.kernel import CostKernel, ratio
 from illiquid_eq.model import MarketSpec
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
 from illiquid_eq.pde import Grid1D, solve_equilibrium
 from illiquid_eq.portfolio import (bump_directions, clearing_residual,
-                                   cumulative_positions, equilibrium_rate,
-                                   gateaux_residual, integrate_strategies,
-                                   objective)
+                                   cumulative_positions, gateaux_residual,
+                                   integrate_strategies, objective)
 from illiquid_eq.simulate import DomainExitError, simulate
 
 
@@ -29,23 +28,20 @@ def fx_strategies(fx_ab, fx_spec, fx_batch):
 
 
 class TestEquilibriumRate:
-    def test_zero_at_horizon(self, fx_kernel):
-        # G'(T) = 0 and the terminal values of all price surfaces coincide
-        assert equilibrium_rate(0, 3.0, 5.0, 1.2, 1.2, fx_kernel) == 0.0
-
-    def test_homogeneous_tanh_flow(self, fx_kernel):
-        # with identical agents v_i - v = -lam*c*a0/N, so the rate relaxes
-        # the position toward a0/N at speed -c
-        a0, n, phi, t = 2.0, 2.0, 0.7, 1.0
-        c = log_deriv(fx_kernel, t)
-        vi_minus_v = -fx_kernel.lam * c * a0 / n
-        got = equilibrium_rate(0, t, phi, vi_minus_v, 0.0, fx_kernel)
-        expect = -c * (a0 / n - phi)
-        assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_derived_magnitude(self, fx_kernel):
-        # two agents, zero supply, value gap 1e-4, flat position: rate 1e3
-        assert equilibrium_rate(0, 1.0, 0.0, 1e-4, 0.0, fx_kernel) == pytest.approx(1e3)
+    def test_homogeneous_tanh_flow(self):
+        # identical agents have equal prices, so the rate (G'/G)(phi_i - a0/N)
+        # relaxes each position toward a0/N = 1 like G(t)/G(0)
+        m = OuModel(kappas=(0.575, 0.575), mean_X=1.25, sigma=0.128, horizon_T=3.0)
+        kern = CostKernel(1e-8, 1e-7, 3.0)
+        spec = MarketSpec(kernel=kern, supply_a0=2.0, allocations=(2.0, 0.0),
+                          payoff=_identity)
+        ab = solve_ab(m, kern, 2000, supply_a0=2.0)
+        batch = simulate(ou_beliefs(m), 0, 1.0, 0.0, 3.0, 2000, 4, seed=3)
+        strat = integrate_strategies(ab, spec, batch)
+        expect = ratio(kern, batch.ts, 0.0)
+        # forward Euler: O(dt) = O(1.5e-3) error
+        assert np.max(np.abs(strat.positions[0] - 1.0 - expect)) <= 5e-4
+        assert np.max(np.abs(strat.positions[1] - 1.0 + expect)) <= 5e-4
 
 
 class TestIntegrateStrategies:
@@ -147,10 +143,6 @@ class TestClearing:
         # the Euler sum dynamics close exactly; what remains is roundoff in
         # the A/B identity amplified by 1/lambda, far below the 1e-6 target
         assert clearing_residual(fx_strategies) <= 1e-6
-
-    def test_per_path_view(self, fx_strategies):
-        sp = fx_strategies.path(7)
-        assert clearing_residual(sp, a0=0.0) <= 1e-6
 
 
 class TestObjective:
