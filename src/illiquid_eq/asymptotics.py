@@ -4,9 +4,12 @@ Both corrections are built from auxiliary inhomogeneous parabolic solves,
 independent of any closed form.  The small-trading-cost correction divides
 by sqrt(trading cost) and needs a fourth-order derivative chain of the
 frictionless price, which is manufactured on a refined grid by repeated
-central differencing with a single 3-point smoothing pass.  The
-small-holding-cost correction uses only the risk-neutral value surfaces
-themselves.
+central differencing with a single 3-point smoothing pass.  The chain runs
+over blocks of BLOCK_LEVELS fine time levels, each with a one-level halo
+for the time derivative, so besides the frictionless price only the
+smoothed source is held as a whole fine-grid array; the result is bit for
+bit that of the whole-array chain.  The small-holding-cost correction uses
+only the risk-neutral value surfaces themselves.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from .pde import (Grid1D, GridSurface, _dv_dx, _interp2, _march, solve_frictionl
                   solve_risk_neutral)
 
 __all__ = ["CorrectionSurface", "SmoothnessError", "tc_correction", "hc_correction"]
+
+# fine time levels per block of the trading-cost derivative chain
+BLOCK_LEVELS = 64
 
 
 class SmoothnessError(ValueError):
@@ -42,6 +48,97 @@ def _coeff_grid(fn, ts, xs) -> np.ndarray:
     return np.stack([np.asarray(fn(t, xs), dtype=float) for t in ts])
 
 
+def _time_gradient(fts):
+    """``np.gradient(F, fts, axis=0, edge_order=2)`` one block of levels at a time.
+
+    Returns ``d_t(f, h0, lo, hi)``: levels lo..hi-1 of the gradient, where f
+    holds F's levels h0..h1-1 from ``_halo``.  The result equals numpy's
+    whole-array gradient bit for bit.  numpy picks its uniform or its
+    non-uniform formula from the spacing of all of fts, so the non-uniform
+    weights are taken from the full spacing here: numpy, given a short block
+    whose own spacings happen to be equal, would use the uniform formula,
+    which rounds differently.
+    """
+    d = np.diff(fts)
+    if np.all(d == d[0]):
+        # uniform: every block has the same spacing, so numpy's formula applies as is
+        return lambda f, h0, lo, hi: np.gradient(f, d[0], axis=0, edge_order=2)[lo - h0:hi - h0]
+    # level m is a f[r] + b f[r + 1] + c f[r + 2], r = clip(m - 1, 0, nt - 3),
+    # with numpy's expressions for the weights of the first, interior and last levels
+    dx1, dx2 = d[:-1], d[1:]
+    a = np.concatenate([[-(2. * d[0] + d[1]) / (d[0] * (d[0] + d[1]))],
+                        -dx2 / (dx1 * (dx1 + dx2)),
+                        [d[-1] / (d[-2] * (d[-2] + d[-1]))]])
+    b = np.concatenate([[(d[0] + d[1]) / (d[0] * d[1])],
+                        (dx2 - dx1) / (dx1 * dx2),
+                        [-(d[-1] + d[-2]) / (d[-2] * d[-1])]])
+    c = np.concatenate([[-d[0] / (d[1] * (d[0] + d[1]))],
+                        dx1 / (dx2 * (dx1 + dx2)),
+                        [(2. * d[-1] + d[-2]) / (d[-1] * (d[-2] + d[-1]))]])
+    rows = np.clip(np.arange(len(fts)) - 1, 0, len(fts) - 3)
+
+    def d_t(f, h0, lo, hi):
+        r = rows[lo:hi] - h0
+        return a[lo:hi, None] * f[r] + b[lo:hi, None] * f[r + 1] + c[lo:hi, None] * f[r + 2]
+    return d_t
+
+
+def _halo(lo: int, hi: int, nt: int) -> tuple:
+    """Levels h0..h1-1 that the time derivative of levels lo..hi-1 reads."""
+    return max(0, min(lo - 1, nt - 3)), min(nt, max(hi + 1, 3))
+
+
+def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.ndarray:
+    """Smoothed source of the trading-cost correction on the fine grid.
+
+    Built BLOCK_LEVELS time levels at a time, each block with the halo its
+    time derivative needs, so only the frictionless price v0 and the result
+    are whole fine-grid arrays.  The smoothness rule is global: the largest
+    roughness over all blocks is judged against the largest smoothed value.
+    """
+    gamma = spec.kernel.gamma
+    n = beliefs.n_agents
+    nt = len(fts)
+    h = fxs[1] - fxs[0]
+    d_t = _time_gradient(fts)
+    smoothed = np.empty_like(v0)
+    scale = rough = 0.0
+    for lo in range(0, nt, BLOCK_LEVELS):
+        hi = min(lo + BLOCK_LEVELS, nt)
+        h0, h1 = _halo(lo, hi, nt)
+        ts = fts[h0:h1]
+        own = slice(lo - h0, hi - h0)
+        vx = np.gradient(v0[h0:h1], h, axis=1, edge_order=2)
+        vxx = np.gradient(vx, h, axis=1, edge_order=2)
+        bbar = _coeff_grid(beliefs.drift_bar, ts, fxs)
+        s2bar = _coeff_grid(beliefs.vol_sq_bar, ts, fxs)
+        source = np.zeros((hi - lo, len(fxs)))
+        for agent in beliefs.agents:
+            b_i = _coeff_grid(agent.drift, ts, fxs)
+            s2_i = _coeff_grid(agent.vol, ts, fxs) ** 2
+            # L^i v0 via the frictionless equation: only coefficient differences survive
+            li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx \
+                + gamma * spec.supply_a0 / n
+            phi_hat = li_v0 / gamma
+            pt = d_t(phi_hat, h0, lo, hi)
+            px = np.gradient(phi_hat[own], h, axis=1, edge_order=2)
+            pxx = np.gradient(px, h, axis=1, edge_order=2)
+            source += (np.sqrt(gamma) / n) * (pt + b_i[own] * px + 0.5 * s2_i[own] * pxx)
+        block = _smooth_x(source)
+        if not np.all(np.isfinite(block)):
+            raise SmoothnessError(
+                "non-finite derivative chain; payoff is too rough for the fourth-order "
+                "expansion source - apply a smoothing filter to the payoff or refine the grid")
+        scale = max(scale, float(np.max(np.abs(block))))
+        rough = max(rough, float(np.max(np.abs(source - block))))
+        smoothed[lo:hi] = block
+    if scale > 0 and rough > 0.5 * scale:
+        raise SmoothnessError(
+            "grid-scale oscillation dominates the expansion source; payoff appears "
+            "insufficiently smooth - apply a smoothing filter or refine the grid")
+    return smoothed
+
+
 def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
                   refine: int = 4) -> CorrectionSurface:
     """Price correction per sqrt(trading cost) around the frictionless limit.
@@ -51,42 +148,11 @@ def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
     feedback: each agent's full space-time generator applied to the
     feedback function.
     """
-    gamma = spec.kernel.gamma
-    n = beliefs.n_agents
     fine = grid.refined(refine)
-    v0 = solve_frictionless(spec, beliefs, fine)
-    fts, fxs = v0.ts, v0.xs
-    h = fxs[1] - fxs[0]
-
-    vx = np.gradient(v0.v, h, axis=1, edge_order=2)
-    vxx = np.gradient(vx, h, axis=1, edge_order=2)
-
-    bbar = _coeff_grid(beliefs.drift_bar, fts, fxs)
-    s2bar = _coeff_grid(beliefs.vol_sq_bar, fts, fxs)
-    source = np.zeros_like(v0.v)
-    for i in range(n):
-        b_i = _coeff_grid(beliefs.agents[i].drift, fts, fxs)
-        s2_i = _coeff_grid(beliefs.agents[i].vol, fts, fxs) ** 2
-        # L^i v0 via the frictionless equation: only coefficient differences survive
-        li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx \
-            + gamma * spec.supply_a0 / n
-        phi_hat = li_v0 / gamma
-        pt = np.gradient(phi_hat, fts, axis=0, edge_order=2)
-        px = np.gradient(phi_hat, h, axis=1, edge_order=2)
-        pxx = np.gradient(px, h, axis=1, edge_order=2)
-        source += (np.sqrt(gamma) / n) * (pt + b_i * px + 0.5 * s2_i * pxx)
-
-    smoothed = _smooth_x(source)
-    if not np.all(np.isfinite(smoothed)):
-        raise SmoothnessError(
-            "non-finite derivative chain; payoff is too rough for the fourth-order "
-            "expansion source - apply a smoothing filter to the payoff or refine the grid")
-    scale = float(np.max(np.abs(smoothed)))
-    rough = float(np.max(np.abs(source - smoothed)))
-    if scale > 0 and rough > 0.5 * scale:
-        raise SmoothnessError(
-            "grid-scale oscillation dominates the expansion source; payoff appears "
-            "insufficiently smooth - apply a smoothing filter or refine the grid")
+    fts, fxs = fine.ts(spec.horizon_T), fine.xs
+    # only the fine price is read: its slope is freed before the chain runs
+    smoothed = _expansion_source(spec, beliefs, fts, fxs,
+                                 solve_frictionless(spec, beliefs, fine).v)
 
     ts, xs = grid.ts(spec.horizon_T), grid.xs
     w = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],

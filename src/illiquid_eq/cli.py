@@ -33,7 +33,7 @@ __all__ = ["RunConfig", "ConfigError", "main"]
 _SECTION_KEYS = {
     "model": {"beliefs", "payoff", "costs", "supply", "allocations", "horizon"},
     "numerics": {"grid", "ode_steps", "mc", "seed", "x_eval", "refine"},
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 
 

@@ -12,14 +12,14 @@ both edges, which is exact for affine solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .kernel import log_deriv
 from .model import BeliefSet, MarketSpec
-from .util import CHUNK_ROWS, write_csv
+from .util import FLOAT_FORMAT, write_csv
 
 __all__ = [
     "Grid1D",
@@ -108,7 +108,9 @@ def _interp2(ts, xs, F, tq, xq):
 def _dv_dx(v: np.ndarray, h: float) -> np.ndarray:
     """Spatial slope: central interior, second-order one-sided at edges."""
     out = np.empty_like(v)
-    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2 * h)
+    # in place: no whole-surface temporary
+    np.subtract(v[..., 2:], v[..., :-2], out=out[..., 1:-1])
+    out[..., 1:-1] /= 2 * h
     out[..., 0] = (-3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]) / (2 * h)
     out[..., -1] = (3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]) / (2 * h)
     return out
@@ -137,23 +139,55 @@ def _bands(xs, drift_fn, vol_fn, t: float) -> np.ndarray:
     return L
 
 
-def _implicit_banded(lo, di, up, c: float, k: float) -> np.ndarray:
-    """solve_banded((N, N)) form of v_i - k (L_i v_i + c (v_i - vbar)), node-major.
+def _level_solver(n: int, nx: int):
+    """Solver of one implicit level, v_i - k (L_i v_i + c (v_i - vbar)) = rhs_i.
 
+    Returns ``solve(lo, di, up, c, k, rhs)``, the new values, shape (N, nx).
     Unknown j*N + i is agent i at node j.  Within a node the mean coupling
     is an N x N block with diagonal 1 - k (di_i + c) + k c/N and
-    off-diagonal k c/N; L_i links nodes at offsets +-N.
+    off-diagonal k c/N; L_i links nodes at offsets +-N.  The matrix goes
+    straight to the LAPACK routine that ``solve_banded((N, N))`` picks, fetched
+    once: gtsv for one equation, otherwise gbsv, whose band storage has N
+    leading rows of pivoting fill-in above the (2N + 1) diagonals.
     """
-    n, nx = di.shape
-    ab = np.zeros((2 * n + 1, n * nx))
-    ab[0, n:] = -k * up[:, :-1].T.ravel()
-    ab[n] = (1.0 - k * (di + c) + k * c / n).T.ravel()
-    ab[2 * n, :-n] = -k * lo[:, 1:].T.ravel()
-    agent = np.arange(n * nx) % n
-    for d in range(1, n):
-        ab[n - d] = np.where(agent >= d, k * c / n, 0.0)        # A[q - d, q]
-        ab[n + d] = np.where(agent < n - d, k * c / n, 0.0)     # A[q + d, q]
-    return ab
+    if n == 1:
+        gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))
+
+        def solve(lo, di, up, c, k, rhs):
+            dl, d, du = -k * lo[0, 1:], 1.0 - k * (di[0] + c) + k * c, -k * up[0, :-1]
+            _require_finite(dl, d, du, rhs)
+            *_, x, info = gtsv(dl, d, du, rhs[0], True, True, True, True)
+            return _solved(x, info)[None, :]
+        return solve
+
+    gbsv, = get_lapack_funcs(("gbsv",), (np.empty(0),))
+    width = n * nx
+
+    def solve(lo, di, up, c, k, rhs):
+        ab = np.zeros((3 * n + 1, width))
+        ab[n, n:] = -k * up[:, :-1].T.ravel()
+        ab[2 * n] = (1.0 - k * (di + c) + k * c / n).T.ravel()
+        ab[3 * n, :-n] = -k * lo[:, 1:].T.ravel()
+        # within-node coupling, A[q -+ d, q] for agents q % N >= d and < N - d
+        for d in range(1, n):
+            ab[2 * n - d].reshape(nx, n)[:, d:] = k * c / n
+            ab[2 * n + d].reshape(nx, n)[:, :n - d] = k * c / n
+        b = rhs.T.ravel()
+        _require_finite(ab, b)
+        _, _, x, info = gbsv(n, n, ab, b, overwrite_ab=True, overwrite_b=True)
+        return _solved(x, info).reshape(-1, n).T
+    return solve
+
+
+def _require_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _solved(x, info: int) -> np.ndarray:
+    if info != 0:
+        raise LinAlgError(f"singular matrix (LAPACK info {info})")
+    return x
 
 
 def _march(ts, xs, coeffs, terminal, coupling=None, source=None) -> np.ndarray:
@@ -171,6 +205,7 @@ def _march(ts, xs, coeffs, terminal, coupling=None, source=None) -> np.ndarray:
     out = np.empty((n, nt, len(xs)))
     out[:, -1] = terminal
     v = np.array(terminal, dtype=float)
+    solve = _level_solver(n, len(xs))
     # bands of the last level solved: the explicit half of the next step
     bands = np.stack([_bands(xs, b, s, ts[-1]) for b, s in coeffs], axis=1)
     for m in range(nt - 2, -1, -1):
@@ -185,8 +220,7 @@ def _march(ts, xs, coeffs, terminal, coupling=None, source=None) -> np.ndarray:
         if source is not None:
             rhs += dt * np.asarray(source(0.5 * (ts[m] + ts[m + 1])), dtype=float)
         bands = np.stack([_bands(xs, b, s, ts[m]) for b, s in coeffs], axis=1)
-        ab = _implicit_banded(*bands, c[m], dt * theta)
-        v = solve_banded((n, n), ab, rhs.T.ravel()).reshape(-1, n).T
+        v = solve(*bands, c[m], dt * theta, rhs)
         out[:, m] = v
     return out
 
@@ -211,11 +245,14 @@ class GridSurface:
         return _interp2(self.ts, self.xs, self.dv_dx, t, x)
 
     def _write_csv(self, path, header, fields) -> None:
-        """One row per (t, x) node: t, x, then each (nt, nx) field at the node."""
-        T, X = np.meshgrid(self.ts, self.xs, indexing="ij")
-        table = np.stack([f.ravel() for f in (T, X, *fields)], axis=1)
+        """One row per (t, x) node: t, x, then each (nt, nx) field at the node.
+
+        Each grid time and each x node is formatted once, as a text cell.
+        """
+        x_text = [FLOAT_FORMAT % x for x in self.xs.tolist()]
         write_csv(path, header, chain.from_iterable(
-            table[i:i + CHUNK_ROWS].tolist() for i in range(0, len(table), CHUNK_ROWS)))
+            zip(repeat(FLOAT_FORMAT % t, len(x_text)), x_text, *(f[m].tolist() for f in fields))
+            for m, t in enumerate(self.ts.tolist())))
 
 
 @dataclass

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from itertools import islice
 
-__all__ = ["write_csv", "CHUNK_ROWS"]
+__all__ = ["write_csv", "CHUNK_ROWS", "FLOAT_FORMAT"]
 
 CHUNK_ROWS = 4096
+FLOAT_FORMAT = "%.12g"
 
 
 def write_csv(path, header, rows) -> None:
@@ -30,7 +31,8 @@ def write_csv(path, header, rows) -> None:
         chunk = list(map(tuple, islice(rows, CHUNK_ROWS)))
         if not chunk:
             return
-        row_fmt = ",".join("%.12g" if isinstance(v, float) else "%s" for v in chunk[0]) + "\r\n"
+        row_fmt = ",".join(FLOAT_FORMAT if isinstance(v, float) else "%s"
+                           for v in chunk[0]) + "\r\n"
         while chunk:
             fh.write("".join(map(row_fmt.__mod__, chunk)))
             chunk = list(map(tuple, islice(rows, CHUNK_ROWS)))

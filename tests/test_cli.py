@@ -221,6 +221,19 @@ def test_output_directory_must_be_a_path(config, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [config]
 
 
+def test_output_formats_is_unknown_key(config, tmp_path, capsys):
+    # no command reads an output format, so a config that sets one is refused
+    config.write_text(OU_FX + "output: {formats: [csv]}\n")
+    out = tmp_path / "out"
+    assert main(["pde-solve", "--config", str(config), "--out", str(out)]) == 2
+    assert "unknown key(s) ['formats'] in section 'output'" in capsys.readouterr().err
+    config.write_text(OU_FX)
+    assert main(["pde-solve", "--config", str(config), "--out", str(out),
+                 "--set", "output.formats=[csv]"]) == 2
+    assert "unknown key 'formats' in section 'output'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_cost_is_input_error(config, tmp_path, capsys):
     code = main(["pde-solve", "--config", str(config), "--out", str(tmp_path / "out"),
                  "--set", "model.costs={gamma: 0.0, lambda: 1.0e-7}"])

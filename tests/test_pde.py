@@ -6,8 +6,9 @@ import pytest
 from illiquid_eq.kernel import CostKernel, log_deriv
 from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec, constant_beliefs
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
-from illiquid_eq.pde import (DegenerateVolatilityError, Grid1D, _march, default_grid,
-                             solve_equilibrium, solve_frictionless, solve_risk_neutral)
+from illiquid_eq.pde import (DegenerateVolatilityError, Grid1D, _level_solver, _march,
+                             default_grid, solve_equilibrium, solve_frictionless,
+                             solve_risk_neutral)
 from illiquid_eq.simulate import feynman_kac_vi, simulate
 
 from conftest import interior_mask
@@ -272,3 +273,21 @@ class TestMarch:
                 + dt * source(0.5 * (ts[m] + ts[m + 1])).ravel()
             v = np.linalg.solve(np.eye(n * nx) - dt * theta * system(m), rhs)
             assert np.max(np.abs(got[:, m].ravel() - v)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_finite_level_is_refused(self, n):
+        xs = np.linspace(-1.0, 1.0, 5)
+        coeffs = [(lambda t, x: 0.1 * x, lambda t, x: 0.3 + 0.0 * x)] * n
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _march(np.linspace(0.0, 1.0, 4), xs, coeffs, np.zeros((n, 5)),
+                   source=lambda t: np.where(xs > 0.5, np.nan, 0.0))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_singular_level_is_linalg_error(self, n):
+        # no spatial coupling and k c = 1: each node's N x N block is singular;
+        # for one equation, k di = 1 zeroes the diagonal
+        nx, k = 4, 0.5
+        zero = np.zeros((n, nx))
+        di = np.full((n, nx), 1.0 / k) if n == 1 else zero
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            _level_solver(n, nx)(zero, di, zero, 1.0 / k, k, np.ones((n, nx)))
