@@ -2,12 +2,12 @@
 holding and trading costs: coupled parabolic solver, mean-reversion ODE
 reduction, small-cost expansions and simulation-based verification."""
 
-from .kernel import CostKernel, discount_integral, log_deriv, ratio
+from .kernel import CostKernel, log_deriv, ratio
 from .model import BeliefSet, MarketSpec, constant_beliefs, validate
 from .ou import OuModel, ou_beliefs, solve_ab
 
 __all__ = [
-    "CostKernel", "log_deriv", "ratio", "discount_integral",
+    "CostKernel", "log_deriv", "ratio",
     "BeliefSet", "MarketSpec", "constant_beliefs", "validate",
     "OuModel", "ou_beliefs", "solve_ab",
 ]

@@ -4,12 +4,13 @@ Both corrections are built from auxiliary inhomogeneous parabolic solves,
 independent of any closed form.  The small-trading-cost correction divides
 by sqrt(trading cost) and needs a fourth-order derivative chain of the
 frictionless price, which is manufactured on a refined grid by repeated
-central differencing with a single 3-point smoothing pass.  The chain runs
-over blocks of BLOCK_LEVELS fine time levels, each with a one-level halo
-for the time derivative, so besides the frictionless price only the
-smoothed source is held as a whole fine-grid array; the result is bit for
-bit that of the whole-array chain.  The small-holding-cost correction uses
-only the risk-neutral value surfaces themselves.
+central differencing with a single 3-point smoothing pass.  The time
+derivative takes the uniform grid's step, (fts[-1] - fts[0]) / (nt - 1), so
+it reads only a level's neighbours, and the chain runs over blocks of
+BLOCK_LEVELS fine time levels, each with a one-level halo: besides the
+frictionless price only the smoothed source is held as a whole fine-grid
+array, and the result is bit for bit that of the whole-array chain.  The
+small-holding-cost correction uses only the risk-neutral value surfaces.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import BeliefSet, MarketSpec
-from .pde import (Grid1D, GridSurface, _dv_dx, _interp2, _march, solve_frictionless,
-                  solve_risk_neutral)
+from .pde import Grid1D, GridSurface, _interp2, _march, solve_frictionless, solve_risk_neutral
 
 __all__ = ["CorrectionSurface", "SmoothnessError", "tc_correction", "hc_correction"]
 
@@ -48,41 +48,6 @@ def _coeff_grid(fn, ts, xs) -> np.ndarray:
     return np.stack([np.asarray(fn(t, xs), dtype=float) for t in ts])
 
 
-def _time_gradient(fts):
-    """``np.gradient(F, fts, axis=0, edge_order=2)`` one block of levels at a time.
-
-    Returns ``d_t(f, h0, lo, hi)``: levels lo..hi-1 of the gradient, where f
-    holds F's levels h0..h1-1 from ``_halo``.  The result equals numpy's
-    whole-array gradient bit for bit.  numpy picks its uniform or its
-    non-uniform formula from the spacing of all of fts, so the non-uniform
-    weights are taken from the full spacing here: numpy, given a short block
-    whose own spacings happen to be equal, would use the uniform formula,
-    which rounds differently.
-    """
-    d = np.diff(fts)
-    if np.all(d == d[0]):
-        # uniform: every block has the same spacing, so numpy's formula applies as is
-        return lambda f, h0, lo, hi: np.gradient(f, d[0], axis=0, edge_order=2)[lo - h0:hi - h0]
-    # level m is a f[r] + b f[r + 1] + c f[r + 2], r = clip(m - 1, 0, nt - 3),
-    # with numpy's expressions for the weights of the first, interior and last levels
-    dx1, dx2 = d[:-1], d[1:]
-    a = np.concatenate([[-(2. * d[0] + d[1]) / (d[0] * (d[0] + d[1]))],
-                        -dx2 / (dx1 * (dx1 + dx2)),
-                        [d[-1] / (d[-2] * (d[-2] + d[-1]))]])
-    b = np.concatenate([[(d[0] + d[1]) / (d[0] * d[1])],
-                        (dx2 - dx1) / (dx1 * dx2),
-                        [-(d[-1] + d[-2]) / (d[-2] * d[-1])]])
-    c = np.concatenate([[-d[0] / (d[1] * (d[0] + d[1]))],
-                        dx1 / (dx2 * (dx1 + dx2)),
-                        [(2. * d[-1] + d[-2]) / (d[-1] * (d[-2] + d[-1]))]])
-    rows = np.clip(np.arange(len(fts)) - 1, 0, len(fts) - 3)
-
-    def d_t(f, h0, lo, hi):
-        r = rows[lo:hi] - h0
-        return a[lo:hi, None] * f[r] + b[lo:hi, None] * f[r + 1] + c[lo:hi, None] * f[r + 2]
-    return d_t
-
-
 def _halo(lo: int, hi: int, nt: int) -> tuple:
     """Levels h0..h1-1 that the time derivative of levels lo..hi-1 reads."""
     return max(0, min(lo - 1, nt - 3)), min(nt, max(hi + 1, 3))
@@ -100,7 +65,7 @@ def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.
     n = beliefs.n_agents
     nt = len(fts)
     h = fxs[1] - fxs[0]
-    d_t = _time_gradient(fts)
+    dt = (fts[-1] - fts[0]) / (nt - 1)
     smoothed = np.empty_like(v0)
     scale = rough = 0.0
     for lo in range(0, nt, BLOCK_LEVELS):
@@ -120,7 +85,7 @@ def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.
             li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx \
                 + gamma * spec.supply_a0 / n
             phi_hat = li_v0 / gamma
-            pt = d_t(phi_hat, h0, lo, hi)
+            pt = np.gradient(phi_hat, dt, axis=0, edge_order=2)[own]
             px = np.gradient(phi_hat[own], h, axis=1, edge_order=2)
             pxx = np.gradient(px, h, axis=1, edge_order=2)
             source += (np.sqrt(gamma) / n) * (pt + b_i[own] * px + 0.5 * s2_i[own] * pxx)
@@ -150,7 +115,6 @@ def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
     """
     fine = grid.refined(refine)
     fts, fxs = fine.ts(spec.horizon_T), fine.xs
-    # only the fine price is read: its slope is freed before the chain runs
     smoothed = _expansion_source(spec, beliefs, fts, fxs,
                                  solve_frictionless(spec, beliefs, fine).v)
 
@@ -158,7 +122,7 @@ def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
     w = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
                np.zeros((1, len(xs))),
                source=lambda t: _interp2(fts, fxs, smoothed, np.full_like(xs, t), xs))[0]
-    return CorrectionSurface(ts=ts, xs=xs, v=w, dv_dx=_dv_dx(w, grid.h))
+    return CorrectionSurface(ts=ts, xs=xs, v=w)
 
 
 def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> CorrectionSurface:
@@ -182,4 +146,4 @@ def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Correct
     w = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], np.zeros((n, len(xs))),
                source=source)
     v_star = w.mean(axis=0) - np.outer(T - ts, np.ones_like(xs)) * spec.supply_a0 / n
-    return CorrectionSurface(ts=ts, xs=xs, v=v_star, dv_dx=_dv_dx(v_star, grid.h))
+    return CorrectionSurface(ts=ts, xs=xs, v=v_star)

@@ -19,6 +19,8 @@ __all__ = ["TimeSeries", "OuEstimate", "CalibrationError",
            "ingest_csv", "estimate_ou"]
 
 TRADING_DAYS_PER_YEAR = 252
+# smallest autocorrelation the regression window admits; below it the logs are noise
+RHO_FLOOR = 0.2
 
 
 class CalibrationError(ValueError):
@@ -94,14 +96,15 @@ def _autocorrelations(x: np.ndarray, max_lag: int) -> np.ndarray:
     return np.array([np.dot(xc[:-k], xc[k:]) / denom for k in range(1, max_lag + 1)])
 
 
-def estimate_ou(series: TimeSeries, max_lag: int = 60,
-                rho_floor: float = 0.2) -> OuEstimate:
+def estimate_ou(series: TimeSeries, max_lag: int = 60) -> OuEstimate:
     """Estimate (kappa_bar, mean, sigma) by moment matching plus regression.
 
     The regression uses lags 1..K where K is the largest lag with all
-    sample autocorrelations above ``rho_floor``, capped at ``max_lag``;
+    sample autocorrelations above RHO_FLOOR, capped at ``max_lag`` >= 1;
     below that the log-autocorrelations are noise-dominated.
     """
+    if max_lag < 1:
+        raise CalibrationError(f"max_lag must be at least 1, got {max_lag}")
     if len(series) < 100:
         raise CalibrationError("need at least 100 observations")
     x = series.values
@@ -111,7 +114,7 @@ def estimate_ou(series: TimeSeries, max_lag: int = 60,
     rho = _autocorrelations(x, max_lag)
     k_stop = 0
     for k in range(max_lag):
-        if rho[k] > rho_floor:
+        if rho[k] > RHO_FLOOR:
             k_stop = k + 1
         else:
             break

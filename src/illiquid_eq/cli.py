@@ -160,7 +160,8 @@ def _read(cfg: RunConfig):
     gcfg = n.get("grid")
     if gcfg:
         grid = pde.Grid1D(x_min=float(gcfg["x_min"]), x_max=float(gcfg["x_max"]),
-                          nx=int(gcfg.get("nx", 241)), nt=int(gcfg.get("nt", 601)))
+                          nx=int(gcfg.get("nx", pde.GRID_NX)),
+                          nt=int(gcfg.get("nt", pde.GRID_NT)))
     elif beliefs.tag == "ou":
         grid = pde.default_grid(beliefs)
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostKernel", "log_deriv", "ratio", "discount_integral"]
+__all__ = ["CostKernel", "log_deriv", "ratio"]
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class CostKernel:
     def rate_a(self) -> float:
         """sqrt(gamma/lam)."""
         return math.sqrt(self.gamma / self.lam)
-
-    def scaled(self, c: float) -> "CostKernel":
-        """Kernel with both costs multiplied by c (same gamma/lambda ratio)."""
-        return CostKernel(c * self.gamma, c * self.lam, self.horizon_T)
 
 
 def _check_times(kernel: CostKernel, *times) -> None:
@@ -76,16 +72,6 @@ def ratio(kernel: CostKernel, u, s):
     p = a * (kernel.horizon_T - np.asarray(u, dtype=float))
     q = a * (kernel.horizon_T - np.asarray(s, dtype=float))
     return np.exp(p - q) * (1.0 + np.exp(-2.0 * p)) / (1.0 + np.exp(-2.0 * q))
-
-
-def discount_integral(kernel: CostKernel, t):
-    """int_t^T G(u)/G(t) du = sqrt(lam/gamma) * tanh(a*(T - t)).
-
-    Value lies in [0, sqrt(lam/gamma)] and tends to T - t as gamma -> 0.
-    """
-    _check_times(kernel, t)
-    tau = kernel.horizon_T - np.asarray(t, dtype=float)
-    return math.sqrt(kernel.lam / kernel.gamma) * np.tanh(kernel.rate_a * tau)
 
 
 def ratio_increment(kernel: CostKernel, u0, u1, t):

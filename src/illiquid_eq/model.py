@@ -22,11 +22,12 @@ __all__ = [
     "BeliefSet",
     "MarketSpec",
     "ValidationReport",
-    "PricePathStats",
     "constant_beliefs",
     "validate",
-    "price_path_stats",
 ]
+
+# sampled times (and points per time) of ``validate``, and the seed of its points
+VALIDATE_SAMPLES, VALIDATE_SEED = 24, 0
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,12 @@ class ValidationReport:
         return "; ".join(self.violations)
 
 
-def validate(spec: MarketSpec, beliefs: BeliefSet, domain,
-             n_samples: int = 24, seed: int = 0) -> ValidationReport:
+def validate(spec: MarketSpec, beliefs: BeliefSet, domain) -> ValidationReport:
     """Sampled check of the standing assumptions on ``domain = (x_lo, x_hi)``.
 
     Checks the allocation sum, the parabolicity floor, finiteness of the
-    coefficients and three sampled derivatives of the payoff.  Deterministic
-    for a fixed seed.
+    coefficients and three sampled derivatives of the payoff, at
+    VALIDATE_SAMPLES times with points from the fixed seed VALIDATE_SEED.
     """
     report = ValidationReport()
     x_lo, x_hi = float(domain[0]), float(domain[1])
@@ -155,10 +155,10 @@ def validate(spec: MarketSpec, beliefs: BeliefSet, domain,
     if alloc_gap > 1e-12:
         report.violations.append(f"allocation sum differs from supply by {alloc_gap:.3e}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATE_SEED)
     T = spec.horizon_T
-    ts = np.linspace(0.0, T, n_samples)
-    xs = x_lo + (x_hi - x_lo) * rng.random((n_samples, n_samples))
+    ts = np.linspace(0.0, T, VALIDATE_SAMPLES)
+    xs = x_lo + (x_hi - x_lo) * rng.random((VALIDATE_SAMPLES, VALIDATE_SAMPLES))
     for i in range(beliefs.n_agents):
         vol_min = np.inf
         finite = True
@@ -176,7 +176,7 @@ def validate(spec: MarketSpec, beliefs: BeliefSet, domain,
                 f"< {beliefs.parabolicity_floor:.6g})")
 
     # payoff smoothness: value and two central-difference derivatives stay finite
-    xp = np.linspace(x_lo, x_hi, 4 * n_samples)
+    xp = np.linspace(x_lo, x_hi, 4 * VALIDATE_SAMPLES)
     h = (x_hi - x_lo) / 1000.0
     try:
         f0 = np.asarray(spec.payoff(xp), dtype=float)
@@ -188,35 +188,3 @@ def validate(spec: MarketSpec, beliefs: BeliefSet, domain,
         report.violations.append(f"payoff evaluation failed: {exc}")
 
     return report
-
-
-@dataclass
-class PricePathStats:
-    """Per-agent drift mu_i and diffusion nu_i of the price on a (t, x) grid.
-
-    nu_i = (d_x v) * sigma_i by construction wherever both are defined.
-    """
-
-    ts: np.ndarray
-    xs: np.ndarray
-    mu: list
-    nu: list
-
-
-def price_path_stats(surface, beliefs: BeliefSet, ts, xs) -> PricePathStats:
-    """Evaluate each agent's subjective price drift/diffusion on a grid.
-
-    ``surface`` must expose ``agent_drift(i, t, x)`` and ``slope(t, x)``.
-    """
-    ts = np.asarray(ts, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    tt = np.repeat(ts, len(xs))
-    xx = np.tile(xs, len(ts))
-    mu, nu = [], []
-    slope = np.asarray(surface.slope(tt, xx), dtype=float)
-    for i in range(beliefs.n_agents):
-        mu_i = np.asarray(surface.agent_drift(i, tt, xx), dtype=float)
-        sig = np.array([beliefs.vol(i, t, x) for t, x in zip(tt, xx)], dtype=float)
-        mu.append(mu_i.reshape(len(ts), len(xs)))
-        nu.append((slope * sig).reshape(len(ts), len(xs)))
-    return PricePathStats(ts=ts, xs=xs, mu=mu, nu=nu)

@@ -32,7 +32,6 @@ __all__ = [
     "MAX_STEPS",
     "frictionless_price",
     "risk_neutral_price",
-    "perceived_drift_frictionless",
     "tc_correction_closed",
     "hc_correction_closed",
     "volatility_curve",
@@ -99,7 +98,7 @@ class AbSolution:
 
     Stores node values and node derivatives of A and B, so off-mesh
     evaluation uses cubic Hermite interpolation.  Acts as a price surface:
-    exposes value / slope / agent_value / agent_drift with exact affine
+    exposes value / agent_value / agent_drift with exact affine
     structure (no spatial truncation, x bounds are infinite).  A, B solve the
     zero-supply system; the supply ``supply_a0`` enters in closed form,
     v = mean(v_i) + (lam G'/(N G)) a0 with every v_i lowered by
@@ -168,9 +167,6 @@ class AbSolution:
         if self.supply_a0:
             out = out + self._holding_shift(t)
         return out
-
-    def slope(self, t, x):
-        return self.b_bar(t) * np.ones_like(np.asarray(x, dtype=float))
 
     def agent_value(self, i: int, t, x):
         ab = self.a_at(t)[..., i] + self.b_at(t)[..., i] * np.asarray(x, dtype=float)
@@ -285,15 +281,6 @@ def risk_neutral_price(model: OuModel, t, x):
     kap = np.asarray(model.kappas)
     per = model.mean_X + (x[..., None] - model.mean_X) * np.exp(-np.multiply.outer(tau, kap))
     return per.mean(axis=-1), per
-
-
-def perceived_drift_frictionless(model: OuModel, i: int, t, price_level):
-    """Drift of the frictionless price under agent i: (kappa_i - kappa_bar)*(mean - v0).
-
-    Positive kappa_i - kappa_bar means the agent sees mean reversion in the
-    price; negative means momentum.
-    """
-    return (model.kappas[i] - model.kappa_bar) * (model.mean_X - np.asarray(price_level, dtype=float))
 
 
 def tc_correction_closed(model: OuModel, gamma: float, t, x):

@@ -6,12 +6,14 @@ through the zeroth-order cross-agent mean, so with the unknowns ordered
 node-major, agent-minor, each time level of all N equations is a single
 banded linear system of bandwidth N, solved directly.  The domain is
 truncated with zero second spatial derivative (linear extrapolation) at
-both edges, which is exact for affine solutions.
+both edges, which is exact for affine solutions.  A surface stores what its
+solver computed; its derivative grids are computed on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -34,6 +36,8 @@ __all__ = [
 
 # implicit-Euler steps before Crank-Nicolson, damping the payoff's kinks
 RANNACHER_STEPS = 2
+# default grid: nodes, time levels and half-width in stationary standard deviations
+GRID_NX, GRID_NT, GRID_WIDTHS = 241, 601, 6.0
 
 
 class DegenerateVolatilityError(ValueError):
@@ -73,15 +77,14 @@ class Grid1D:
                       factor * (self.nx - 1) + 1, factor * (self.nt - 1) + 1)
 
 
-def default_grid(beliefs: BeliefSet, nx: int = 241, nt: int = 601,
-                 widths: float = 6.0) -> Grid1D:
-    """Mean +- `widths` stationary standard deviations for ou-tagged beliefs."""
+def default_grid(beliefs: BeliefSet) -> Grid1D:
+    """Mean +- GRID_WIDTHS stationary standard deviations for ou-tagged beliefs."""
     if beliefs.tag != "ou":
         raise ValueError("default grid sizing requires ou-tagged beliefs; size the domain explicitly")
     p = beliefs.tag_params
     kbar = float(np.mean(p["kappas"]))
-    sd = p["sigma"] / np.sqrt(2.0 * kbar)
-    return Grid1D(p["mean_X"] - widths * sd, p["mean_X"] + widths * sd, nx, nt)
+    half = GRID_WIDTHS * (p["sigma"] / np.sqrt(2.0 * kbar))
+    return Grid1D(p["mean_X"] - half, p["mean_X"] + half, GRID_NX, GRID_NT)
 
 
 def _interp2(ts, xs, F, tq, xq):
@@ -232,7 +235,11 @@ class GridSurface:
     ts: np.ndarray
     xs: np.ndarray
     v: np.ndarray        # (nt, nx)
-    dv_dx: np.ndarray    # (nt, nx)
+
+    @cached_property
+    def dv_dx(self) -> np.ndarray:
+        """Spatial slope grid, (nt, nx), with the grid's step (xs[-1] - xs[0]) / (nx - 1)."""
+        return _dv_dx(self.v, (self.xs[-1] - self.xs[0]) / (len(self.xs) - 1))
 
     @property
     def x_bounds(self):
@@ -240,9 +247,6 @@ class GridSurface:
 
     def value(self, t, x):
         return _interp2(self.ts, self.xs, self.v, t, x)
-
-    def slope(self, t, x):
-        return _interp2(self.ts, self.xs, self.dv_dx, t, x)
 
     def _write_csv(self, path, header, fields) -> None:
         """One row per (t, x) node: t, x, then each (nt, nx) field at the node.
@@ -263,10 +267,9 @@ class EquilibriumSolution(GridSurface):
     which satisfies v = mean(vi) + (lam G'/(N G)) a0 exactly at every node.
     """
 
-    vi: np.ndarray = None          # (N, nt, nx)
-    spec: MarketSpec = None
-    beliefs: BeliefSet = None
-    _deriv_cache: dict = field(default_factory=dict, repr=False)
+    vi: np.ndarray       # (N, nt, nx)
+    spec: MarketSpec
+    beliefs: BeliefSet
 
     @property
     def n_agents(self) -> int:
@@ -274,34 +277,32 @@ class EquilibriumSolution(GridSurface):
 
     @property
     def supply_a0(self):
-        """The supply the surface was solved for; None without a spec."""
-        return None if self.spec is None else self.spec.supply_a0
+        """The supply the surface was solved for."""
+        return self.spec.supply_a0
 
     def agent_value(self, i: int, t, x):
         return _interp2(self.ts, self.xs, self.vi[i], t, x)
 
-    def _time_slope_grid(self) -> np.ndarray:
-        if "dv_dt" not in self._deriv_cache:
-            self._deriv_cache["dv_dt"] = np.gradient(self.v, self.ts, axis=0)
-        return self._deriv_cache["dv_dt"]
+    @cached_property
+    def dv_dt(self) -> np.ndarray:
+        """Time slope grid of the price, (nt, nx)."""
+        return np.gradient(self.v, self.ts, axis=0)
 
-    def _curvature_grid(self) -> np.ndarray:
-        if "dv_dxx" not in self._deriv_cache:
-            h = self.xs[1] - self.xs[0]
-            g = np.empty_like(self.v)
-            g[:, 1:-1] = (self.v[:, 2:] - 2 * self.v[:, 1:-1] + self.v[:, :-2]) / h**2
-            g[:, 0] = g[:, 1]
-            g[:, -1] = g[:, -2]
-            self._deriv_cache["dv_dxx"] = g
-        return self._deriv_cache["dv_dxx"]
+    @cached_property
+    def dv_dxx(self) -> np.ndarray:
+        """Curvature grid of the price, (nt, nx); edge columns copy their neighbours."""
+        h = self.xs[1] - self.xs[0]
+        g = np.empty_like(self.v)
+        g[:, 1:-1] = (self.v[:, 2:] - 2 * self.v[:, 1:-1] + self.v[:, :-2]) / h**2
+        g[:, 0] = g[:, 1]
+        g[:, -1] = g[:, -2]
+        return g
 
     def agent_drift(self, i: int, t, x):
-        """mu_i = L^i v from differenced grids (needs attached beliefs)."""
-        if self.beliefs is None:
-            raise ValueError("no beliefs attached to this solution")
-        dv_dt = _interp2(self.ts, self.xs, self._time_slope_grid(), t, x)
+        """mu_i = L^i v from the differenced grids."""
+        dv_dt = _interp2(self.ts, self.xs, self.dv_dt, t, x)
         dv_dx = _interp2(self.ts, self.xs, self.dv_dx, t, x)
-        dv_dxx = _interp2(self.ts, self.xs, self._curvature_grid(), t, x)
+        dv_dxx = _interp2(self.ts, self.xs, self.dv_dxx, t, x)
         tb, xb = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
         flat_t, flat_x = tb.ravel(), xb.ravel()
         bv = np.array([self.beliefs.drift(i, float(a), float(c)) for a, c in zip(flat_t, flat_x)])
@@ -338,8 +339,7 @@ def solve_equilibrium(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Equ
     vi = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], terminal, coupling=c_ts,
                 source=lambda t: -(kern.lam * log_deriv(kern, t) ** 2 / n) * a0)
     v = vi.mean(axis=0) + (kern.lam / n) * c_ts[:, None] * a0
-    return EquilibriumSolution(ts=ts, xs=xs, v=v, dv_dx=_dv_dx(v, grid.h), vi=vi,
-                               spec=spec, beliefs=beliefs)
+    return EquilibriumSolution(ts=ts, xs=xs, v=v, vi=vi, spec=spec, beliefs=beliefs)
 
 
 def solve_frictionless(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> GridSurface:
@@ -354,7 +354,7 @@ def solve_frictionless(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Gr
     g = spec.kernel.gamma * spec.supply_a0 / beliefs.n_agents
     v = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
                terminal, source=lambda t: -g)[0]
-    return GridSurface(ts=ts, xs=xs, v=v, dv_dx=_dv_dx(v, grid.h))
+    return GridSurface(ts=ts, xs=xs, v=v)
 
 
 def solve_risk_neutral(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D):
@@ -368,7 +368,5 @@ def solve_risk_neutral(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D):
     xs = grid.xs
     terminal = np.tile(np.asarray(spec.payoff(xs), dtype=float), (n, 1))
     vi = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], terminal)
-    v = vi.mean(axis=0)
-    agg = GridSurface(ts=ts, xs=xs, v=v, dv_dx=_dv_dx(v, grid.h))
-    per = [GridSurface(ts=ts, xs=xs, v=vi[i], dv_dx=_dv_dx(vi[i], grid.h)) for i in range(n)]
-    return agg, per
+    agg = GridSurface(ts=ts, xs=xs, v=vi.mean(axis=0))
+    return agg, [GridSurface(ts=ts, xs=xs, v=v) for v in vi]

@@ -35,6 +35,9 @@ __all__ = [
     "bump_directions",
 ]
 
+# Gaussian bumps per test direction, and test directions of the Gateaux residual
+BUMPS_PER_DIRECTION, GATEAUX_DIRECTIONS = 6, 20
+
 
 @dataclass
 class StrategyBatch:
@@ -186,13 +189,12 @@ def objective(i: int, batch: SimulationBatch, strategies: StrategyBatch, surface
                              per_path=per_path)
 
 
-def bump_directions(ts: np.ndarray, n_directions: int, seed: int,
-                    n_bumps: int = 6) -> np.ndarray:
+def bump_directions(ts: np.ndarray, n_directions: int, seed: int) -> np.ndarray:
     """Smooth random rate perturbations, unit norm in the mesh L^2.
 
-    Each direction is a sum of Gaussian bumps with frozen random centers and
-    amplitudes; returned array has shape (n_directions, len(ts)).  The
-    associated position perturbation (cumulative integral) vanishes at t=0.
+    Each direction sums BUMPS_PER_DIRECTION Gaussian bumps with frozen random
+    centers and amplitudes; returned array has shape (n_directions, len(ts)).
+    The associated position perturbation (cumulative integral) vanishes at t=0.
     """
     rng = np.random.default_rng(seed)
     T = ts[-1] - ts[0]
@@ -200,8 +202,8 @@ def bump_directions(ts: np.ndarray, n_directions: int, seed: int,
     width = T / 10.0
     out = np.empty((n_directions, len(ts)))
     for d in range(n_directions):
-        centers = ts[0] + rng.uniform(0.0, T, n_bumps)
-        amps = rng.standard_normal(n_bumps)
+        centers = ts[0] + rng.uniform(0.0, T, BUMPS_PER_DIRECTION)
+        amps = rng.standard_normal(BUMPS_PER_DIRECTION)
         vd = np.zeros_like(ts)
         for ck, ak in zip(centers, amps):
             vd += ak * np.exp(-((ts - ck) ** 2) / (2.0 * width**2))
@@ -240,7 +242,7 @@ def _foc_rows(mu: np.ndarray, phi: np.ndarray, rate: np.ndarray, dt: float,
 
 
 def gateaux_residual(i: int, batch: SimulationBatch, strategies: StrategyBatch,
-                     surface, n_directions: int = 20, seed: int = 2024,
+                     surface, seed: int = 2024,
                      directions: Optional[np.ndarray] = None) -> GateauxResult:
     """First-order optimality residual in units of its Monte Carlo and mesh error.
 
@@ -254,8 +256,8 @@ def gateaux_residual(i: int, batch: SimulationBatch, strategies: StrategyBatch,
     values at or below ~3 are consistent with optimality at this Monte Carlo
     and mesh resolution, also when the strategies are deterministic and the
     SE vanishes.  The batch needs an even number of time steps.
-    ``directions`` overrides the default random bump family with explicit
-    rate perturbations (rows over the mesh).
+    ``directions`` overrides the default family of GATEAUX_DIRECTIONS random
+    bump directions with explicit rate perturbations (rows over the mesh).
     """
     if batch.agent_index != i:
         raise ValueError(
@@ -273,7 +275,7 @@ def gateaux_residual(i: int, batch: SimulationBatch, strategies: StrategyBatch,
     dt = batch.dt
     phi = strategies.positions[i]
     rate = strategies.rates[i]
-    dirs = bump_directions(ts, n_directions, seed) if directions is None else directions
+    dirs = bump_directions(ts, GATEAUX_DIRECTIONS, seed) if directions is None else directions
     mu = _agent_drift_rows(surface, i, ts, batch.paths)
     mu_half = mu[:, ::2].copy()
     est = _foc_rows(mu, phi, rate, dt, kern) @ (dirs * _trapz_weights(nt + 1, dt)).T

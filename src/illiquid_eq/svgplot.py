@@ -12,6 +12,8 @@ __all__ = ["line_plot"]
 
 _DASHES = {"solid": None, "dotted": "2,4", "dashed": "8,5"}
 _COLORS = ["#1f3b73", "#b0413e", "#3e7a42", "#7a5195", "#c08a1f", "#3d8c95"]
+# figure size in pixels
+WIDTH, HEIGHT = 640, 440
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
@@ -21,15 +23,14 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return [float(v) for v in raw]
 
 
-def line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "",
-              width: int = 640, height: int = 440) -> None:
+def line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Write an SVG line plot.
 
     ``curves`` is a sequence of (xs, ys, label, style) with style one of
     "solid", "dotted", "dashed".
     """
     ml, mr, mt, mb = 72, 20, 34, 48
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
     all_x = np.concatenate([np.asarray(c[0], dtype=float) for c in curves])
     all_y = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
     x_lo, x_hi = float(all_x.min()), float(all_x.max())
@@ -47,9 +48,9 @@ def line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "",
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width/2:.1f}" y="20" text-anchor="middle" '
+        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH/2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
     # axes box
@@ -65,7 +66,7 @@ def line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "",
                      f'y2="{py(yv):.1f}" stroke="#444"/>')
         parts.append(f'<text x="{ml-8}" y="{py(yv)+4:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{yv:.2f}</text>')
-    parts.append(f'<text x="{ml+pw/2:.1f}" y="{height-10}" text-anchor="middle" '
+    parts.append(f'<text x="{ml+pw/2:.1f}" y="{HEIGHT-10}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12">{xlabel}</text>')
     parts.append(f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '

@@ -66,8 +66,18 @@ def _curved(x):
     return x + 0.5 * (x - MEAN_X) ** 2
 
 
-def _whole_array_tc(spec, beliefs, grid, refine):
-    """The trading-cost correction with its source built as whole fine-grid arrays."""
+def _uniform_step(grid, refine):
+    """The fine grid's time step, as ``_expansion_source`` takes it."""
+    fts = grid.refined(refine).ts(HORIZON)
+    return (fts[-1] - fts[0]) / (len(fts) - 1)
+
+
+def _whole_array_tc(spec, beliefs, grid, refine, time_axis):
+    """The trading-cost correction with its source built as whole fine-grid arrays.
+
+    ``time_axis`` is what the time derivative's ``np.gradient`` is given:
+    the uniform step, or the fine time levels themselves.
+    """
     gamma = spec.kernel.gamma
     n = beliefs.n_agents
     v0 = solve_frictionless(spec, beliefs, grid.refined(refine))
@@ -85,7 +95,7 @@ def _whole_array_tc(spec, beliefs, grid, refine):
         b_i, s2_i = coeff(agent.drift), coeff(agent.vol) ** 2
         li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx + gamma * spec.supply_a0 / n
         phi_hat = li_v0 / gamma
-        pt = np.gradient(phi_hat, fts, axis=0, edge_order=2)
+        pt = np.gradient(phi_hat, time_axis, axis=0, edge_order=2)
         px = np.gradient(phi_hat, h, axis=1, edge_order=2)
         pxx = np.gradient(px, h, axis=1, edge_order=2)
         source += (np.sqrt(gamma) / n) * (pt + b_i * px + 0.5 * s2_i * pxx)
@@ -98,8 +108,8 @@ def _whole_array_tc(spec, beliefs, grid, refine):
 
 
 # nt = 66 refines to 131 or 261 fine levels, unevenly spaced in floating point,
-# where the last block's own spacings are equal; nt = 9 refines to evenly
-# spaced levels, where numpy's gradient uses its uniform formula throughout
+# so numpy weights a gradient taken against the levels non-uniformly; nt = 9
+# refines to evenly spaced levels, where both weightings are the uniform one
 @pytest.mark.parametrize("nt", [66, 9])
 @pytest.mark.parametrize("refine", [2, 4])
 @pytest.mark.parametrize("a0", [0.0, 1.0])
@@ -108,7 +118,11 @@ def test_blocked_chain_matches_whole_array(n, a0, refine, nt, fx_kernel):
     _, beliefs, spec = _market(n, fx_kernel, a0, payoff=_curved)
     grid = Grid1D(0.53, 1.97, 21, nt)
     tc = tc_correction(spec, beliefs, grid, refine=refine)
-    assert np.array_equal(tc.v, _whole_array_tc(spec, beliefs, grid, refine))
+    assert np.array_equal(tc.v, _whole_array_tc(spec, beliefs, grid, refine,
+                                                _uniform_step(grid, refine)))
+    # the chain weighted by the fine time levels differs only by roundoff
+    levels = _whole_array_tc(spec, beliefs, grid, refine, grid.refined(refine).ts(HORIZON))
+    assert np.max(np.abs(tc.v - levels)) <= 1e-12 * np.max(np.abs(levels))
 
 
 def test_chain_holds_few_fine_grid_arrays(fx_kernel):
@@ -176,4 +190,5 @@ def test_roughness_in_one_block_is_judged_against_global_scale(amplitude, rough,
                 tc_correction(spec, beliefs, grid, refine=2)
         else:
             tc = tc_correction(spec, beliefs, grid, refine=2)
-            assert np.array_equal(tc.v, _whole_array_tc(spec, beliefs, grid, 2))
+            assert np.array_equal(tc.v, _whole_array_tc(spec, beliefs, grid, 2,
+                                                        _uniform_step(grid, 2)))

@@ -277,3 +277,11 @@ def test_calibrate_rejects_unusable_series(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_lag", ["0", "-3"])
+def test_calibrate_rejects_nonpositive_max_lag(tmp_path, capsys, max_lag):
+    code = main(["calibrate", "--max-lag", max_lag, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "max_lag must be at least 1" in err and "Traceback" not in err

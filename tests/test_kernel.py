@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from illiquid_eq.kernel import (CostKernel, discount_integral, log_deriv, ratio,
-                                ratio_increment)
+from illiquid_eq.kernel import CostKernel, log_deriv, ratio, ratio_increment
 
 # frozen direct evaluations for gamma=1e-8, lambda=1e-7, T=3 at t=0
 LOG_DERIV_0 = -0.2337512550044443       # -sqrt(0.1)*tanh(3*sqrt(0.1))
 RATIO_0_T = 1.4847789361596264          # cosh(3*sqrt(0.1))
-DISCOUNT_0 = 2.337512550044443          # sqrt(10)*tanh(3*sqrt(0.1))
 
 
 @pytest.fixture
@@ -93,29 +91,6 @@ class TestRatio:
             ratio(CostKernel(1.0, 0.0, 3.0), 0.0, 1.0)
 
 
-class TestDiscountIntegral:
-    def test_zero_at_horizon(self, fx_kernel):
-        assert discount_integral(fx_kernel, 3.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_saturates_for_long_horizon(self):
-        k = CostKernel(1.0, 1.0, 50.0)
-        assert discount_integral(k, 0.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_frozen_value(self, fx_kernel):
-        got = discount_integral(fx_kernel, 0.0)
-        assert got == pytest.approx(DISCOUNT_0, rel=1e-12)
-        assert got == pytest.approx(2.33837, rel=1e-3)
-
-    def test_risk_neutral_limit(self):
-        # gamma -> 0: the discounted horizon tends to T - t
-        k = CostKernel(1e-30, 1e-7, 3.0)
-        assert discount_integral(k, 1.0) == pytest.approx(2.0, rel=1e-15)
-
-    def test_frictionless_raises(self):
-        with pytest.raises(ValueError, match="both costs must be positive"):
-            discount_integral(CostKernel(1.0, 0.0, 3.0), 0.0)
-
-
 costs = st.floats(min_value=1e-10, max_value=1e4)
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -154,13 +129,15 @@ def test_log_deriv_bounds_and_monotonicity(gamma, lam, t):
        t=st.floats(min_value=0.0, max_value=0.95))
 @settings(max_examples=25, deadline=None)
 def test_discount_matches_quadrature(gamma, lam, t):
+    # int_t^T G(u)/G(t) du = sqrt(lam/gamma) tanh(a (T - t)) pins the ratio's form
     T = 3.0
     k = CostKernel(gamma, lam, T)
     if k.rate_a * T > 80.0:       # keep quad well-conditioned
         return
     t0 = t * T
     val, err = quad(lambda u: ratio(k, u, t0), t0, T, limit=200)
-    assert discount_integral(k, t0) == pytest.approx(val, rel=1e-8, abs=1e-12)
+    closed = math.sqrt(lam / gamma) * math.tanh(k.rate_a * (T - t0))
+    assert closed == pytest.approx(val, rel=1e-8, abs=1e-12)
 
 
 def test_no_overflow_for_extreme_ratio():
@@ -170,7 +147,6 @@ def test_no_overflow_for_extreme_ratio():
     assert k.rate_a * T == pytest.approx(1e4)
     assert np.isfinite(log_deriv(k, 0.0))
     assert log_deriv(k, 0.0) == pytest.approx(-1e4, rel=1e-12)
-    assert np.isfinite(discount_integral(k, 0.0))
     # decaying direction of the ratio stays finite (underflows to 0 eventually)
     vals = ratio(k, np.array([0.5, 0.9, 1.0]), np.array([0.4, 0.4, 0.4]))
     assert np.all(np.isfinite(vals))

@@ -8,7 +8,6 @@ from illiquid_eq.kernel import CostKernel, log_deriv, ratio
 from illiquid_eq.model import MarketSpec
 from illiquid_eq.ou import (MAX_STEPS, AbSolution, IntegrationBlowupError, OuModel,
                             frictionless_price, hc_correction_closed, ou_beliefs,
-                            perceived_drift_frictionless,
                             risk_neutral_price, solve_ab, solve_ab_batch,
                             tc_correction_closed, volatility_curve)
 from illiquid_eq.pde import Grid1D, solve_equilibrium
@@ -75,7 +74,8 @@ class TestSolveAb:
     def test_zero_supply_ratio_dependence(self, fx_model, fx_kernel):
         for c in (10.0, 0.1):
             ab1 = solve_ab(fx_model, fx_kernel, 500)
-            ab2 = solve_ab(fx_model, fx_kernel.scaled(c), 500)
+            ab2 = solve_ab(fx_model, CostKernel(c * fx_kernel.gamma, c * fx_kernel.lam,
+                                                fx_kernel.horizon_T), 500)
             assert np.max(np.abs(ab1.B - ab2.B)) <= 1e-10
             assert np.max(np.abs(ab1.A - ab2.A)) <= 1e-10
 
@@ -139,7 +139,7 @@ class TestSolveAbBatch:
     def test_blowup_names_the_kernel(self, fx_model, fx_kernel):
         harsh = CostKernel(1e-2, 1e-12, 3.0)
         with pytest.raises(IntegrationBlowupError, match=r"gamma=0\.01, lambda=1e-12"):
-            solve_ab_batch(fx_model, [fx_kernel, harsh, fx_kernel.scaled(2.0)], 100)
+            solve_ab_batch(fx_model, [fx_kernel, harsh, CostKernel(2e-8, 2e-7, 3.0)], 100)
 
     def test_step_bound(self, fx_model, fx_kernel):
         with pytest.raises(ValueError, match=f"n_steps={MAX_STEPS + 1} exceeds"):
@@ -228,15 +228,6 @@ class TestClosedForms:
         assert agg == pytest.approx(V0_RISK_NEUTRAL, rel=1e-14)
         assert agg == pytest.approx(1.18784, abs=2e-5)
         assert per[0] == pytest.approx(1.25 - 0.25 * np.exp(-2.5875), rel=1e-14)
-
-    def test_perceived_drift(self, fx_model):
-        assert perceived_drift_frictionless(fx_model, 0, 0.0, 1.25) == 0.0
-        homog = OuModel(kappas=(0.5, 0.5), mean_X=1.25, sigma=0.1, horizon_T=3.0)
-        assert perceived_drift_frictionless(homog, 0, 0.0, 1.1) == 0.0
-        got = perceived_drift_frictionless(fx_model, 0, 0.0, 1.2)
-        assert got == pytest.approx(0.2875 * 0.05, rel=1e-12)   # 0.014375
-        # faster-than-average believer sees mean reversion: drift pushes to mean
-        assert got > 0.0
 
     def test_tc_correction_trivials(self, fx_model):
         assert tc_correction_closed(fx_model, 1e-8, 3.0, 1.0) == 0.0
@@ -372,4 +363,13 @@ class TestDenseOutput:
 
     def test_surface_protocol(self, fx_ab):
         assert fx_ab.x_bounds == (-np.inf, np.inf)
-        assert fx_ab.slope(1.0, 1.3) == pytest.approx(float(fx_ab.b_bar(1.0)), rel=1e-14)
+
+    def test_agent_drift_matches_affine_form(self, fx_ab, fx_model):
+        # mu_i = (x - mean) Bbar'(t) + kappa_i (mean - x) Bbar(t)
+        ts = np.linspace(0.0, 3.0, 5)
+        xs = np.linspace(1.0, 1.5, 5)
+        for i, kap in enumerate(fx_model.kappas):
+            for t in ts:
+                for x in xs:
+                    expect = (x - 1.25) * fx_ab.b_bar_deriv(t) + kap * (1.25 - x) * fx_ab.b_bar(t)
+                    assert fx_ab.agent_drift(i, t, x) == pytest.approx(float(expect), abs=1e-12)

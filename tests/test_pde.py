@@ -6,7 +6,7 @@ import pytest
 from illiquid_eq.kernel import CostKernel, log_deriv
 from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec, constant_beliefs
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
-from illiquid_eq.pde import (DegenerateVolatilityError, Grid1D, _level_solver, _march,
+from illiquid_eq.pde import (DegenerateVolatilityError, Grid1D, _dv_dx, _level_solver, _march,
                              default_grid, solve_equilibrium, solve_frictionless,
                              solve_risk_neutral)
 from illiquid_eq.simulate import feynman_kac_vi, simulate
@@ -99,7 +99,9 @@ class TestSolveEquilibrium:
     def test_zero_supply_scale_invariance(self, fx_spec, fx_beliefs, small_grid):
         base = solve_equilibrium(fx_spec, fx_beliefs, small_grid)
         for c in (10.0, 0.1):
-            scaled_spec = MarketSpec(kernel=fx_spec.kernel.scaled(c), supply_a0=0.0,
+            kern = fx_spec.kernel
+            scaled_spec = MarketSpec(kernel=CostKernel(c * kern.gamma, c * kern.lam,
+                                                       kern.horizon_T), supply_a0=0.0,
                                      allocations=fx_spec.allocations,
                                      payoff=fx_spec.payoff)
             scaled = solve_equilibrium(scaled_spec, fx_beliefs, small_grid)
@@ -112,7 +114,7 @@ class TestSolveEquilibrium:
                                allocations=(1.5, 0.5), payoff=payoff)
         base = solve_equilibrium(base_spec, fx_beliefs, small_grid)
         for c in (10.0, 0.1):
-            spec_c = MarketSpec(kernel=base_spec.kernel.scaled(c), supply_a0=a0 / c,
+            spec_c = MarketSpec(kernel=CostKernel(c * 1e-8, c * 1e-7, 3.0), supply_a0=a0 / c,
                                 allocations=(1.5 / c, 0.5 / c), payoff=payoff)
             scaled = solve_equilibrium(spec_c, fx_beliefs, small_grid)
             assert np.max(np.abs(base.v - scaled.v)) <= 1e-10
@@ -226,6 +228,39 @@ class TestExportAndCache:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,x,v,v1,v2,dv_dx"
         assert len(lines) == 1 + 4 * 5
+
+
+class TestDerivativeGrids:
+    @pytest.fixture(scope="class")
+    def fx_sol(self, fx_spec, fx_beliefs):
+        # the configs/ou_fx.yaml grid: its linspace spacings differ from grid.h by an ulp
+        grid = Grid1D(0.53, 1.97, 241, 601)
+        return grid, solve_equilibrium(fx_spec, fx_beliefs, grid)
+
+    def test_slope_uses_the_grid_step(self, fx_sol):
+        grid, sol = fx_sol
+        assert sol.xs[1] - sol.xs[0] != grid.h
+        assert np.array_equal(sol.dv_dx, _dv_dx(sol.v, grid.h))
+
+    def test_time_slope_and_curvature(self, fx_sol):
+        _, sol = fx_sol
+        assert np.array_equal(sol.dv_dt, np.gradient(sol.v, sol.ts, axis=0))
+        h = sol.xs[1] - sol.xs[0]
+        g = np.empty_like(sol.v)
+        g[:, 1:-1] = (sol.v[:, 2:] - 2 * sol.v[:, 1:-1] + sol.v[:, :-2]) / h**2
+        g[:, 0] = g[:, 1]
+        g[:, -1] = g[:, -2]
+        assert np.array_equal(sol.dv_dxx, g)
+
+    def test_grids_are_computed_on_first_read(self, fx_spec, fx_beliefs, small_grid):
+        surf = solve_frictionless(fx_spec, fx_beliefs, small_grid)
+        assert "dv_dx" not in vars(surf)
+        slope = surf.dv_dx
+        assert vars(surf)["dv_dx"] is slope
+        sol = solve_equilibrium(fx_spec, fx_beliefs, small_grid)
+        assert not {"dv_dx", "dv_dt", "dv_dxx"} & set(vars(sol))
+        sol.agent_drift(0, 1.0, 1.2)
+        assert {"dv_dx", "dv_dt", "dv_dxx"} <= set(vars(sol))
 
 
 def _dense_operator(xs, drift, vol, t):

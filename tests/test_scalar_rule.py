@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from illiquid_eq import ou
-from illiquid_eq.kernel import CostKernel, discount_integral, log_deriv, ratio
+from illiquid_eq.kernel import CostKernel, log_deriv, ratio
 from illiquid_eq.model import MarketSpec
 from illiquid_eq.pde import Grid1D, solve_equilibrium, solve_frictionless
 
@@ -31,24 +31,18 @@ def surfaces():
 # each evaluator as f(surfaces, t, x)
 EVALUATORS = {
     "AbSolution.value": lambda s, t, x: s["ab"].value(t, x),
-    "AbSolution.slope": lambda s, t, x: s["ab"].slope(t, x),
     "AbSolution.agent_value": lambda s, t, x: s["ab"].agent_value(1, t, x),
     "AbSolution.agent_drift": lambda s, t, x: s["ab"].agent_drift(1, t, x),
     "EquilibriumSolution.value": lambda s, t, x: s["eq"].value(t, x),
-    "EquilibriumSolution.slope": lambda s, t, x: s["eq"].slope(t, x),
     "EquilibriumSolution.agent_value": lambda s, t, x: s["eq"].agent_value(1, t, x),
     "EquilibriumSolution.agent_drift": lambda s, t, x: s["eq"].agent_drift(1, t, x),
     "GridSurface.value": lambda s, t, x: s["grid"].value(t, x),
-    "GridSurface.slope": lambda s, t, x: s["grid"].slope(t, x),
     "ou.frictionless_price": lambda s, t, x: ou.frictionless_price(MODEL, t, x),
     "ou.risk_neutral_price": lambda s, t, x: ou.risk_neutral_price(MODEL, t, x)[0],
-    "ou.perceived_drift_frictionless":
-        lambda s, t, x: ou.perceived_drift_frictionless(MODEL, 0, t, x),
     "ou.tc_correction_closed": lambda s, t, x: ou.tc_correction_closed(MODEL, 1e-8, t, x),
     "ou.hc_correction_closed": lambda s, t, x: ou.hc_correction_closed(MODEL, 1e-7, t, x),
     "kernel.log_deriv": lambda s, t, x: log_deriv(KERN, t),
     "kernel.ratio": lambda s, t, x: ratio(KERN, t, t),
-    "kernel.discount_integral": lambda s, t, x: discount_integral(KERN, t),
 }
 
 # (3, 4) arrays, so an evaluator that reads only t or only x has that shape too

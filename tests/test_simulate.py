@@ -100,8 +100,7 @@ class TestFeynmanKac:
         kern = CostKernel(1e-8, 1e-7, 3.0)
         ts = np.linspace(0.0, 3.0, 9)
         xs = np.linspace(-10.0, 10.0, 11)
-        surf = GridSurface(ts=ts, xs=xs, v=np.full((9, 11), 2.5),
-                           dv_dx=np.zeros((9, 11)))
+        surf = GridSurface(ts=ts, xs=xs, v=np.full((9, 11), 2.5))
         est, se = feynman_kac_vi(fx_beliefs, 0, surf, kern, 0.5, 1.0,
                                  npaths=200, seed=6, nt=40)
         assert est == pytest.approx(2.5, abs=1e-12)
@@ -114,7 +113,7 @@ class TestFeynmanKac:
         xs = np.linspace(-10.0, 10.0, 41)
         # surface v(t,x) = x: terminal row gives f(X_T) = X_T
         v = np.tile(xs, (3, 1))
-        surf = GridSurface(ts=ts, xs=xs, v=v, dv_dx=np.ones((3, 41)))
+        surf = GridSurface(ts=ts, xs=xs, v=v)
         est, _ = feynman_kac_vi(fx_beliefs, 0, surf, kern, 0.0, 1.0,
                                 npaths=500, seed=8, nt=30)
         batch = simulate(fx_beliefs, 0, 1.0, 0.0, 3.0, 30, 500, seed=8)
@@ -131,7 +130,7 @@ class TestFeynmanKac:
         kern = CostKernel(1e-8, 1e-7, 3.0)
         ts = np.linspace(0.0, 3.0, 4)
         xs = np.linspace(1.2, 1.3, 5)     # far too narrow for the paths
-        surf = GridSurface(ts=ts, xs=xs, v=np.ones((4, 5)), dv_dx=np.zeros((4, 5)))
+        surf = GridSurface(ts=ts, xs=xs, v=np.ones((4, 5)))
         with pytest.raises(DomainExitError):
             feynman_kac_vi(fx_beliefs, 0, surf, kern, 0.0, 1.0,
                            npaths=300, seed=12, nt=30)
