@@ -59,7 +59,10 @@ def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.
     Built BLOCK_LEVELS time levels at a time, each block with the halo its
     time derivative needs, so only the frictionless price v0 and the result
     are whole fine-grid arrays.  The smoothness rule is global: the largest
-    roughness over all blocks is judged against the largest smoothed value.
+    roughness over all blocks is judged against the largest smoothed interior
+    value.  Roughness is what the filter removes inside and, at the unfiltered
+    edge columns, the distance from the linear extrapolation of their two
+    smoothed inner neighbours, so a period-2 ripple cannot hide at the edges.
     """
     gamma = spec.kernel.gamma
     n = beliefs.n_agents
@@ -94,8 +97,9 @@ def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.
             raise SmoothnessError(
                 "non-finite derivative chain; payoff is too rough for the fourth-order "
                 "expansion source - apply a smoothing filter to the payoff or refine the grid")
-        scale = max(scale, float(np.max(np.abs(block))))
-        rough = max(rough, float(np.max(np.abs(source - block))))
+        edge = source[:, [0, -1]] - 2.0 * block[:, [1, -2]] + block[:, [2, -3]]
+        scale = max(scale, float(np.max(np.abs(block[:, 1:-1]))))
+        rough = max(rough, float(np.max(np.abs(source - block))), float(np.max(np.abs(edge))))
         smoothed[lo:hi] = block
     if scale > 0 and rough > 0.5 * scale:
         raise SmoothnessError(

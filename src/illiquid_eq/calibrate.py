@@ -4,7 +4,7 @@ Ingests CSV in the daily-quote format used by the St. Louis Fed's download
 files (header row, date and value columns, missing values encoded as ".").
 Estimation matches the first two stationary moments and fits the
 log-autocorrelation function by ordinary least squares through the origin:
-slope = -kappa * dt, the sample mean gives the level, and
+slope = -kappa * SPACING_DT, the sample mean gives the level, and
 sigma = sqrt(2 * kappa * sample variance).
 """
 
@@ -19,6 +19,8 @@ __all__ = ["TimeSeries", "OuEstimate", "CalibrationError",
            "ingest_csv", "estimate_ou"]
 
 TRADING_DAYS_PER_YEAR = 252
+# years between consecutive observations
+SPACING_DT = 1.0 / TRADING_DAYS_PER_YEAR
 # smallest autocorrelation the regression window admits; below it the logs are noise
 RHO_FLOOR = 0.2
 
@@ -29,11 +31,10 @@ class CalibrationError(ValueError):
 
 @dataclass
 class TimeSeries:
-    """Strictly increasing dates with one value each; dt in years."""
+    """Strictly increasing dates with one value each, SPACING_DT years apart."""
 
     dates: list
     values: np.ndarray
-    spacing_dt: float = 1.0 / TRADING_DAYS_PER_YEAR
     n_dropped: int = 0
 
     def __post_init__(self):
@@ -46,7 +47,7 @@ class TimeSeries:
         return len(self.values)
 
 
-def ingest_csv(path, spacing_dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> TimeSeries:
+def ingest_csv(path) -> TimeSeries:
     """Read a two-column daily-quote CSV, dropping "." missing markers.
 
     Raises with the offending line number on malformed rows and if nothing
@@ -78,8 +79,7 @@ def ingest_csv(path, spacing_dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> TimeSer
             dates.append(row[0].strip())
     if not values:
         raise CalibrationError(f"{path}: no usable observations")
-    return TimeSeries(dates=dates, values=np.asarray(values, dtype=float),
-                      spacing_dt=spacing_dt, n_dropped=dropped)
+    return TimeSeries(dates=dates, values=np.asarray(values, dtype=float), n_dropped=dropped)
 
 
 @dataclass
@@ -122,13 +122,10 @@ def estimate_ou(series: TimeSeries, max_lag: int = 60) -> OuEstimate:
         if rho[0] <= 0.0:
             raise CalibrationError("window too wide: nonpositive autocorrelation at lag 1")
         raise CalibrationError("no usable lags: autocorrelation below floor at lag 1")
-    window = rho[:k_stop]
-    if np.any(window <= 0.0):
-        raise CalibrationError("window too wide: nonpositive autocorrelation inside window")
     lags = np.arange(1, k_stop + 1, dtype=float)
-    y = np.log(window)
+    y = np.log(rho[:k_stop])
     slope = float(np.dot(lags, y) / np.dot(lags, lags))  # OLS through the origin
-    kappa = -slope / series.spacing_dt
+    kappa = -slope / SPACING_DT
     if kappa <= 0.0:
         raise CalibrationError("estimated mean-reversion speed is nonpositive")
     fitted = slope * lags
@@ -146,5 +143,5 @@ def estimate_ou(series: TimeSeries, max_lag: int = 60) -> OuEstimate:
             "sample_variance": var,
             "n_observations": len(series),
             "n_dropped": series.n_dropped,
-            "spacing_dt": series.spacing_dt,
+            "spacing_dt": SPACING_DT,
         })

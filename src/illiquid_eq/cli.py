@@ -58,21 +58,17 @@ class RunConfig:
             raise ConfigError(f"cannot parse {path}: {exc}")
         if not isinstance(raw, dict) or not raw:
             raise ConfigError(f"{path}: config must be a mapping with model/numerics/output")
-        return cls.from_mapping(raw, origin=str(path))
-
-    @classmethod
-    def from_mapping(cls, raw: dict, origin: str = "<config>") -> "RunConfig":
         unknown = set(raw) - set(_SECTION_KEYS)
         if unknown:
-            raise ConfigError(f"{origin}: unknown section(s) {sorted(unknown)}")
+            raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
         sections = {}
         for name, allowed in _SECTION_KEYS.items():
             sec = raw.get(name, {}) or {}
             if not isinstance(sec, dict):
-                raise ConfigError(f"{origin}: section '{name}' must be a mapping")
+                raise ConfigError(f"{path}: section '{name}' must be a mapping")
             bad = set(sec) - allowed
             if bad:
-                raise ConfigError(f"{origin}: unknown key(s) {sorted(bad)} in section '{name}'")
+                raise ConfigError(f"{path}: unknown key(s) {sorted(bad)} in section '{name}'")
             sections[name] = dict(sec)
         return cls(model=sections["model"], numerics=sections["numerics"],
                    output=sections["output"])
@@ -113,7 +109,7 @@ def _payoff_from(cfg: dict):
 
 
 def _build(cfg: RunConfig):
-    """(spec, beliefs, OU model or None, grid, numerics) of a config.
+    """(spec, beliefs, grid, numerics) of a config.
 
     The one place that reads the model and numerics sections: a missing key
     or a value of the wrong type raises ConfigError, as does a market that
@@ -134,14 +130,12 @@ def _read(cfg: RunConfig):
     kernel = CostKernel(gamma=float(costs["gamma"]), lam=float(costs["lambda"]),
                         horizon_T=horizon)
 
-    ou_model = None
     bel = m["beliefs"]
     btype = bel.get("type")
     if btype == "ou":
-        ou_model = oumod.OuModel(kappas=tuple(float(k) for k in bel["kappas"]),
-                                 mean_X=float(bel["mean"]), sigma=float(bel["sigma"]),
-                                 horizon_T=horizon)
-        beliefs = oumod.ou_beliefs(ou_model)
+        beliefs = oumod.ou_beliefs(oumod.OuModel(
+            kappas=tuple(float(k) for k in bel["kappas"]), mean_X=float(bel["mean"]),
+            sigma=float(bel["sigma"]), horizon_T=horizon))
     elif btype == "constant":
         beliefs = constant_beliefs([float(b) for b in bel["drifts"]],
                                    [float(s) for s in bel["vols"]])
@@ -162,7 +156,7 @@ def _read(cfg: RunConfig):
         grid = pde.Grid1D(x_min=float(gcfg["x_min"]), x_max=float(gcfg["x_max"]),
                           nx=int(gcfg.get("nx", pde.GRID_NX)),
                           nt=int(gcfg.get("nt", pde.GRID_NT)))
-    elif beliefs.tag == "ou":
+    elif beliefs.ou is not None:
         grid = pde.default_grid(beliefs)
     else:
         raise ConfigError("non-ou beliefs need an explicit numerics.grid")
@@ -185,13 +179,15 @@ def _read(cfg: RunConfig):
                           f"got {num['paths']}")
     if num["seed"] < 0:
         raise ConfigError(f"numerics.seed must be nonnegative, got {num['seed']}")
-    return spec, beliefs, ou_model, grid, num
+    if not np.isfinite(num["x_eval"]):
+        raise ConfigError(f"numerics.x_eval must be finite, got {num['x_eval']}")
+    return spec, beliefs, grid, num
 
 
-def _require_ou(ou_model, what: str):
-    if ou_model is None:
+def _require_ou(beliefs, what: str):
+    if beliefs.ou is None:
         raise ConfigError(f"{what} requires beliefs of type 'ou'")
-    return ou_model
+    return beliefs.ou
 
 
 def _write_json(path, obj) -> None:
@@ -204,8 +200,8 @@ def _write_json(path, obj) -> None:
 # (files written, verdict): the verdict is None for commands without checks.
 
 def cmd_ou_solve(cfg: RunConfig, out: Path, args) -> tuple:
-    spec, _, m, _, num = _build(cfg)
-    m = _require_ou(m, "ou-solve")
+    spec, beliefs, _, num = _build(cfg)
+    m = _require_ou(beliefs, "ou-solve")
     ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=spec.supply_a0)
     path = out / "ab_curves.csv"
     oumod.curves_csv(m, ab, path, x_eval=num["x_eval"])
@@ -213,7 +209,7 @@ def cmd_ou_solve(cfg: RunConfig, out: Path, args) -> tuple:
 
 
 def cmd_pde_solve(cfg: RunConfig, out: Path, args) -> tuple:
-    spec, beliefs, _, grid, _ = _build(cfg)
+    spec, beliefs, grid, _ = _build(cfg)
     sol = pde.solve_equilibrium(spec, beliefs, grid)
     path = out / "equilibrium.csv"
     sol.to_csv(path)
@@ -251,9 +247,9 @@ def _write_sweeps(spec, m, num, out: Path) -> list:
 
 
 def cmd_asymptotics(cfg: RunConfig, out: Path, args) -> tuple:
-    spec, beliefs, m, grid, num = _build(cfg)
+    spec, beliefs, grid, num = _build(cfg)
     # the sweeps run first, so costs too extreme for the ODE fail before the PDE work
-    sweeps = _write_sweeps(spec, m, num, out) if m is not None else []
+    sweeps = _write_sweeps(spec, beliefs.ou, num, out) if beliefs.ou is not None else []
     files = []
     tc = asy.tc_correction(spec, beliefs, grid, refine=num["refine"])
     hc = asy.hc_correction(spec, beliefs, grid)
@@ -265,12 +261,12 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, args) -> tuple:
 
 
 def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
-    spec, beliefs, m, grid, num = _build(cfg)
+    spec, beliefs, grid, num = _build(cfg)
     T = spec.horizon_T
     x0 = num["x_eval"]
     rate_scale = 1.5 if sabotage else 1.0
-    if m is not None:
-        surface = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"],
+    if beliefs.ou is not None:
+        surface = oumod.solve_ab(beliefs.ou, spec.kernel, n_steps=num["ode_steps"],
                                  supply_a0=spec.supply_a0)
     else:
         surface = pde.solve_equilibrium(spec, beliefs, grid)
@@ -323,7 +319,7 @@ def cmd_verify(cfg: RunConfig, out: Path, args) -> tuple:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, args) -> tuple:
-    spec, beliefs, _, _, num = _build(cfg)
+    spec, beliefs, _, num = _build(cfg)
     rows = []
     files = []
     for measure in list(range(beliefs.n_agents)) + ["average"]:
@@ -354,8 +350,8 @@ def cmd_calibrate(cfg, out: Path, args) -> tuple:
 
 
 def cmd_figures(cfg: RunConfig, out: Path, args) -> tuple:
-    spec, _, m, _, num = _build(cfg)
-    m = _require_ou(m, "figures")
+    spec, beliefs, _, num = _build(cfg)
+    m = _require_ou(beliefs, "figures")
     x = num["x_eval"]
     a0 = spec.supply_a0
     ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=a0)

@@ -1,9 +1,9 @@
 """Overflow-safe evaluation of the hyperbolic trading-cost kernel.
 
 The kernel cosh(a*(T - t)) with a = sqrt(gamma/lambda) sets the speed at
-which optimal portfolios track their targets.  Both costs are positive,
-checked once when a kernel is built; the frictionless and risk-neutral
-limits have their own solvers and closed forms.  Because gamma/lambda
+which optimal portfolios track their targets.  Both costs are positive and
+finite, checked once when a kernel is built; the frictionless and
+risk-neutral limits have their own solvers and closed forms.  Because gamma/lambda
 spans many orders of magnitude, every quantity here is computed in
 exponent-shifted form; a raw cosh value is never materialized.  Scalar
 times give numpy float scalars (``float`` instances), arrays give arrays.
@@ -21,18 +21,18 @@ __all__ = ["CostKernel", "log_deriv", "ratio"]
 
 @dataclass(frozen=True)
 class CostKernel:
-    """Holding cost ``gamma`` > 0, trading cost ``lam`` > 0 and horizon of one market."""
+    """Finite holding cost ``gamma`` > 0, trading cost ``lam`` > 0 and horizon of one market."""
 
     gamma: float
     lam: float
     horizon_T: float
 
     def __post_init__(self):
-        if not (self.gamma > 0.0 and self.lam > 0.0):
-            raise ValueError(f"both costs must be positive, got gamma={self.gamma:g}, "
+        if not (0.0 < self.gamma < math.inf and 0.0 < self.lam < math.inf):
+            raise ValueError(f"both costs must be positive and finite, got gamma={self.gamma:g}, "
                              f"lambda={self.lam:g}")
-        if not self.horizon_T > 0.0:
-            raise ValueError("horizon_T must be positive")
+        if not 0.0 < self.horizon_T < math.inf:
+            raise ValueError(f"horizon_T must be positive and finite, got {self.horizon_T:g}")
 
     @property
     def rate_a(self) -> float:
@@ -72,8 +72,3 @@ def ratio(kernel: CostKernel, u, s):
     p = a * (kernel.horizon_T - np.asarray(u, dtype=float))
     q = a * (kernel.horizon_T - np.asarray(s, dtype=float))
     return np.exp(p - q) * (1.0 + np.exp(-2.0 * p)) / (1.0 + np.exp(-2.0 * q))
-
-
-def ratio_increment(kernel: CostKernel, u0, u1, t):
-    """Exact integral of -G'(u)/G(t) over [u0, u1]: ratio(u0,t) - ratio(u1,t)."""
-    return ratio(kernel, u0, t) - ratio(kernel, u1, t)

@@ -1,21 +1,24 @@
 """Market primitives: agent beliefs, market specification and validation.
 
-Coefficient functions are plain callables (t, x) -> array.  A belief set may
-carry a closed-form tag ("ou", "constant") that downstream modules exploit
-for exact formulas; the PDE solver ignores it.  Global boundedness of the
-coefficients is the caller's responsibility and is only spot-checked on the
-computational domain, since the flagship mean-reversion example is itself
-unbounded.
+Coefficient functions are plain callables (t, x) -> array.  A belief set
+built by ``ou.ou_beliefs`` carries its ``OuModel``, which path sampling and
+default grid sizing use for exact formulas; the PDE solver ignores it.
+Global boundedness of the coefficients is the caller's responsibility and
+is only spot-checked on the computational domain, since the flagship
+mean-reversion example is itself unbounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .kernel import CostKernel
+
+if TYPE_CHECKING:
+    from .ou import OuModel
 
 __all__ = [
     "AgentBelief",
@@ -44,12 +47,12 @@ class BeliefSet:
 
     ``parabolicity_floor`` is the constant kappa > 0 with sigma_i^2 >= kappa
     on the computational domain; it is checked by sampling in ``validate``.
+    ``ou`` is the mean-reversion model the set was built from, if any.
     """
 
     agents: tuple
     parabolicity_floor: float
-    tag: Optional[str] = None
-    tag_params: Optional[Mapping] = None
+    ou: Optional["OuModel"] = None
 
     def __post_init__(self):
         if len(self.agents) < 1:
@@ -90,9 +93,7 @@ def constant_beliefs(drifts: Sequence[float], vols: Sequence[float]) -> BeliefSe
         for b, s in zip(drifts, vols)
     )
     floor = float(min(vols)) ** 2
-    return BeliefSet(agents=agents, parabolicity_floor=floor, tag="constant",
-                     tag_params={"drifts": tuple(map(float, drifts)),
-                                 "vols": tuple(map(float, vols))})
+    return BeliefSet(agents=agents, parabolicity_floor=floor)
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,8 @@ class MarketSpec:
     payoff: Callable
 
     def __post_init__(self):
-        if self.supply_a0 < 0.0:
-            raise ValueError("supply must be nonnegative")
+        if not 0.0 <= self.supply_a0 < np.inf:
+            raise ValueError(f"supply must be nonnegative and finite, got {self.supply_a0:g}")
         if len(self.allocations) < 1:
             raise ValueError("need at least one allocation")
 
@@ -152,7 +153,7 @@ def validate(spec: MarketSpec, beliefs: BeliefSet, domain) -> ValidationReport:
             f"agent count mismatch: {beliefs.n_agents} beliefs vs {spec.n_agents} allocations")
 
     alloc_gap = abs(sum(spec.allocations) - spec.supply_a0)
-    if alloc_gap > 1e-12:
+    if not alloc_gap <= 1e-12:
         report.violations.append(f"allocation sum differs from supply by {alloc_gap:.3e}")
 
     rng = np.random.default_rng(VALIDATE_SEED)

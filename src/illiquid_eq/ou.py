@@ -74,7 +74,7 @@ class OuModel:
 
 
 def ou_beliefs(model: OuModel) -> BeliefSet:
-    """Belief set with drift kappa_i*(mean - x) and common constant sigma."""
+    """Belief set with drift kappa_i*(mean - x) and common constant sigma, carrying ``model``."""
     agents = tuple(
         AgentBelief(
             drift=lambda t, x, k=float(k), m=model.mean_X: k * (m - np.asarray(x, dtype=float)),
@@ -82,14 +82,7 @@ def ou_beliefs(model: OuModel) -> BeliefSet:
         )
         for k in model.kappas
     )
-    return BeliefSet(
-        agents=agents,
-        parabolicity_floor=model.sigma**2,
-        tag="ou",
-        tag_params={"kappas": tuple(map(float, model.kappas)),
-                    "mean_X": float(model.mean_X),
-                    "sigma": float(model.sigma)},
-    )
+    return BeliefSet(agents=agents, parabolicity_floor=model.sigma**2, ou=model)
 
 
 @dataclass

@@ -78,13 +78,12 @@ class Grid1D:
 
 
 def default_grid(beliefs: BeliefSet) -> Grid1D:
-    """Mean +- GRID_WIDTHS stationary standard deviations for ou-tagged beliefs."""
-    if beliefs.tag != "ou":
-        raise ValueError("default grid sizing requires ou-tagged beliefs; size the domain explicitly")
-    p = beliefs.tag_params
-    kbar = float(np.mean(p["kappas"]))
-    half = GRID_WIDTHS * (p["sigma"] / np.sqrt(2.0 * kbar))
-    return Grid1D(p["mean_X"] - half, p["mean_X"] + half, GRID_NX, GRID_NT)
+    """Mean +- GRID_WIDTHS stationary standard deviations for OU beliefs."""
+    m = beliefs.ou
+    if m is None:
+        raise ValueError("default grid sizing requires OU beliefs; size the domain explicitly")
+    half = GRID_WIDTHS * (m.sigma / np.sqrt(2.0 * m.kappa_bar))
+    return Grid1D(m.mean_X - half, m.mean_X + half, GRID_NX, GRID_NT)
 
 
 def _interp2(ts, xs, F, tq, xq):

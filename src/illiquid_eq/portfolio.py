@@ -44,20 +44,11 @@ class StrategyBatch:
     """Strategies for a whole path batch; agent-major arrays."""
 
     ts: np.ndarray
-    state: np.ndarray          # (npaths, nt+1)
     positions: list            # N arrays of shape (npaths, nt+1)
     rates: list
     spec: MarketSpec
     rate_scale: float = 1.0
     exit_frac: float = 0.0     # fraction of paths that left the surface's domain
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.positions)
-
-    @property
-    def npaths(self) -> int:
-        return self.state.shape[0]
 
 
 def _forcing_rows(surface, spec: MarketSpec, ts, X, c):
@@ -124,7 +115,7 @@ def integrate_strategies(surface, spec: MarketSpec, batch: SimulationBatch,
         phi, rate = _euler(spec.allocations[i], f, c, batch.dt, rate_scale)
         positions.append(phi)
         rates.append(rate)
-    return StrategyBatch(ts=ts, state=X, positions=positions, rates=rates,
+    return StrategyBatch(ts=ts, positions=positions, rates=rates,
                          spec=spec, rate_scale=rate_scale, exit_frac=exit_frac)
 
 
@@ -137,7 +128,6 @@ def clearing_residual(strategies: StrategyBatch) -> float:
 @dataclass
 class ObjectiveEstimate:
     mean: float
-    se: float
     per_path: np.ndarray
 
 
@@ -184,9 +174,7 @@ def objective(i: int, batch: SimulationBatch, strategies: StrategyBatch, surface
     integrand = phi * mu - 0.5 * kern.gamma * phi**2 - 0.5 * kern.lam * rate**2
     w = _trapz_weights(len(batch.ts), batch.dt)
     per_path = integrand @ w
-    return ObjectiveEstimate(mean=float(per_path.mean()),
-                             se=float(per_path.std(ddof=1) / np.sqrt(len(per_path))),
-                             per_path=per_path)
+    return ObjectiveEstimate(mean=float(per_path.mean()), per_path=per_path)
 
 
 def bump_directions(ts: np.ndarray, n_directions: int, seed: int) -> np.ndarray:
@@ -222,7 +210,6 @@ def cumulative_positions(ts: np.ndarray, rate_rows: np.ndarray) -> np.ndarray:
 @dataclass
 class GateauxResult:
     max_residual: float
-    per_direction: np.ndarray
 
 
 def _foc_rows(mu: np.ndarray, phi: np.ndarray, rate: np.ndarray, dt: float,
@@ -252,7 +239,7 @@ def gateaux_residual(i: int, batch: SimulationBatch, strategies: StrategyBatch,
     Euler recursion is rerun on every other node of the same paths, with the
     forcing rate/rate_scale - (G'/G) phi read from the stored rows, and
     disc = max over directions of |mean(estimate_2dt - estimate_dt)|.
-    Returns per direction |mean| / sqrt(SE^2 + disc^2) and their maximum;
+    Returns the largest |mean| / sqrt(SE^2 + disc^2) over the directions;
     values at or below ~3 are consistent with optimality at this Monte Carlo
     and mesh resolution, also when the strategies are deterministic and the
     SE vanishes.  The batch needs an even number of time steps.
@@ -293,4 +280,4 @@ def gateaux_residual(i: int, batch: SimulationBatch, strategies: StrategyBatch,
     for d in range(dirs.shape[0]):
         err = np.hypot(se[d], disc)
         residuals[d] = abs(mean[d]) / err if err > 0.0 else (0.0 if mean[d] == 0.0 else np.inf)
-    return GateauxResult(max_residual=float(residuals.max()), per_direction=residuals)
+    return GateauxResult(max_residual=float(residuals.max()))

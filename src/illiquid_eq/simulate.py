@@ -3,8 +3,8 @@
 Randomness comes from the counter-based Philox generator keyed by
 (seed, path index), so every path owns an independent stream: batches are
 bit-reproducible for a fixed (seed, mesh, path count) regardless of
-execution order or thread count.  Beliefs tagged "ou" are sampled with
-exact transition densities; anything else uses Euler-Maruyama.
+execution order or thread count.  Beliefs that carry an ``OuModel`` are
+sampled with exact transition densities; anything else uses Euler-Maruyama.
 
 Paths may leave the spatial domain of a grid price surface.  One rule,
 ``exit_fraction``, governs every consumer: up to ``MAX_EXIT_FRACTION`` of
@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .kernel import CostKernel, ratio, ratio_increment
+from .kernel import CostKernel, ratio
 from .model import BeliefSet
 
 __all__ = ["SimulationBatch", "DomainExitError", "MAX_EXIT_FRACTION", "exit_fraction",
@@ -50,16 +50,14 @@ def exit_fraction(paths: np.ndarray, x_bounds) -> float:
 
 @dataclass
 class SimulationBatch:
-    """Simulated state paths plus the metadata needed to reuse them."""
+    """Simulated state paths under one measure."""
 
     measure: str                  # "agent-<i>" or "average"
     agent_index: Optional[int]
-    x0: float
-    t0: float
     ts: np.ndarray                # (nt+1,)
     paths: np.ndarray             # (npaths, nt+1)
-    seed: int
-    increments: Optional[np.ndarray] = None   # standard normals, if retained
+    # always None; kept only because perfbench/child.py passes it to dataclasses.replace
+    increments: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.ts.setflags(write=False)
@@ -68,10 +66,6 @@ class SimulationBatch:
     @property
     def npaths(self) -> int:
         return self.paths.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.paths.shape[1] - 1
 
     @property
     def dt(self) -> float:
@@ -97,14 +91,12 @@ def _measure_coeffs(beliefs: BeliefSet, measure: Union[int, str]):
 
 
 def simulate(beliefs: BeliefSet, measure: Union[int, str], x0: float, t0: float,
-             t_end: float, nt: int, npaths: int, seed: int,
-             vol_scale: float = 1.0, keep_increments: bool = False) -> SimulationBatch:
+             t_end: float, nt: int, npaths: int, seed: int) -> SimulationBatch:
     """Simulate ``npaths`` state paths on a uniform mesh from t0 to t_end.
 
-    ``measure`` is an agent index or "average".  ``vol_scale = 0`` turns off
-    the noise, leaving the deterministic drift flow (exact for ou-tagged
-    beliefs).  Exact Ornstein-Uhlenbeck transitions are used when the
-    beliefs carry the "ou" tag, Euler-Maruyama otherwise.
+    ``measure`` is an agent index or "average".  Exact Ornstein-Uhlenbeck
+    transitions are used when the beliefs carry an ``OuModel``,
+    Euler-Maruyama otherwise.
     """
     if nt < 2:
         raise ValueError("need at least 2 steps")
@@ -119,11 +111,11 @@ def simulate(beliefs: BeliefSet, measure: Union[int, str], x0: float, t0: float,
     X = np.empty((npaths, nt + 1))
     X[:, 0] = x0
 
-    if beliefs.tag == "ou":
-        p = beliefs.tag_params
-        kap = float(np.mean(p["kappas"])) if agent_index is None else float(p["kappas"][agent_index])
-        mean = float(p["mean_X"])
-        sig = float(p["sigma"]) * vol_scale
+    m = beliefs.ou
+    if m is not None:
+        kap = m.kappa_bar if agent_index is None else float(m.kappas[agent_index])
+        mean = float(m.mean_X)
+        sig = float(m.sigma)
         e = np.exp(-kap * dt)
         sd = sig * np.sqrt((1.0 - e * e) / (2.0 * kap))
         for k in range(nt):
@@ -133,13 +125,11 @@ def simulate(beliefs: BeliefSet, measure: Union[int, str], x0: float, t0: float,
         for k in range(nt):
             t = ts[k]
             b = np.asarray(drift(t, X[:, k]), dtype=float)
-            s = vol_scale * np.asarray(vol(t, X[:, k]), dtype=float)
+            s = np.asarray(vol(t, X[:, k]), dtype=float)
             X[:, k + 1] = X[:, k] + b * dt + s * sq * Z[:, k]
 
     label = "average" if agent_index is None else f"agent-{agent_index}"
-    return SimulationBatch(measure=label, agent_index=agent_index, x0=x0, t0=t0,
-                           ts=ts, paths=X, seed=seed,
-                           increments=Z if keep_increments else None)
+    return SimulationBatch(measure=label, agent_index=agent_index, ts=ts, paths=X)
 
 
 def feynman_kac_vi(beliefs: BeliefSet, i: int, v_surface, kernel: CostKernel,
@@ -165,7 +155,7 @@ def feynman_kac_vi(beliefs: BeliefSet, i: int, v_surface, kernel: CostKernel,
         vals[:, k] = np.asarray(v_surface.value(ts[k], X[:, k]), dtype=float)
 
     # exact per-interval weight: int_{u_k}^{u_{k+1}} -G'(u)/G(t) du
-    w = np.array([ratio_increment(kernel, ts[k], ts[k + 1], t) for k in range(len(ts) - 1)])
+    w = ratio(kernel, ts[:-1], t) - ratio(kernel, ts[1:], t)
     integral = 0.5 * ((vals[:, :-1] + vals[:, 1:]) * w[None, :]).sum(axis=1)
 
     terminal = np.asarray(v_surface.value(T, X[:, -1]), dtype=float)

@@ -165,6 +165,25 @@ def test_grid_scale_oscillation_is_smoothness_error(fx_kernel):
         tc_correction(spec, beliefs, grid)
 
 
+@pytest.mark.parametrize("eps, rough", [(0.0, False), (1e-6, False), (1e-3, True), (1.0, True)])
+def test_period_two_payoff_ripple_is_smoothness_error(eps, rough, fx_kernel):
+    # central differences cancel (-1)^j inside and the filter leaves the edge
+    # columns alone, so the ripple shows only at the edges of the source
+    grid = Grid1D(0.53, 1.97, 21, 201)
+    fine = grid.refined(4)
+
+    def payoff(x):
+        j = np.rint((np.asarray(x, dtype=float) - fine.x_min) / fine.h)
+        return _identity(x) + eps * (-1.0) ** j
+
+    _, beliefs, spec = _market(2, fx_kernel, payoff=payoff)
+    if rough:
+        with pytest.raises(SmoothnessError, match="grid-scale oscillation"):
+            tc_correction(spec, beliefs, grid)
+    else:
+        tc_correction(spec, beliefs, grid)
+
+
 @pytest.mark.parametrize("amplitude, rough", [(0.15, False), (1.0, True)])
 def test_roughness_in_one_block_is_judged_against_global_scale(amplitude, rough, fx_kernel,
                                                                 monkeypatch):

@@ -203,6 +203,11 @@ def test_figures_honour_supply(config, tmp_path):
     "model.costs.gamma.value=1",               # --set through a non-mapping
     "model.costs={gamma: 1",                   # unparsable value
     "numerics.seed=-1",                        # OverflowError in the path generator
+    "numerics.x_eval=.nan",                    # non-finite numbers
+    "model.allocations=[.nan, .nan]",
+    "model.costs.lambda=.inf",
+    "model.supply=.nan",
+    "model.horizon=.inf",
 ])
 def test_malformed_config_is_input_error(config, tmp_path, capsys, override):
     code = main(["verify", "--config", str(config), "--out", str(tmp_path / "out"),

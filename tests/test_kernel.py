@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from illiquid_eq.kernel import CostKernel, log_deriv, ratio, ratio_increment
+from illiquid_eq.kernel import CostKernel, log_deriv, ratio
 
 # frozen direct evaluations for gamma=1e-8, lambda=1e-7, T=3 at t=0
 LOG_DERIV_0 = -0.2337512550044443       # -sqrt(0.1)*tanh(3*sqrt(0.1))
@@ -156,5 +156,14 @@ def test_no_overflow_for_extreme_ratio():
 def test_ratio_increment_telescopes():
     k = CostKernel(1e-8, 1e-7, 3.0)
     us = np.linspace(0.5, 3.0, 17)
-    total = sum(ratio_increment(k, us[i], us[i + 1], 0.5) for i in range(len(us) - 1))
+    total = np.sum(ratio(k, us[:-1], 0.5) - ratio(k, us[1:], 0.5))
     assert total == pytest.approx(1.0 - 1.0 / ratio(k, 0.5, 3.0), rel=1e-12)
+
+
+def test_array_times_match_scalar_calls():
+    # feynman_kac_vi takes its per-interval weights from two array calls, not a
+    # loop of scalar calls; both evaluate the same expression
+    k = CostKernel(1e-8, 1e-7, 3.0)
+    us = np.linspace(0.5, 3.0, 401)
+    np.testing.assert_allclose(ratio(k, us, 0.5), [ratio(k, u, 0.5) for u in us],
+                               rtol=4 * np.finfo(float).eps, atol=0)

@@ -1,11 +1,13 @@
 """Mean-reversion example: ODE solution, closed forms, expansion checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from illiquid_eq.kernel import CostKernel, log_deriv, ratio
-from illiquid_eq.model import MarketSpec
+from illiquid_eq.model import MarketSpec, constant_beliefs
 from illiquid_eq.ou import (MAX_STEPS, AbSolution, IntegrationBlowupError, OuModel,
                             frictionless_price, hc_correction_closed, ou_beliefs,
                             risk_neutral_price, solve_ab, solve_ab_batch,
@@ -34,6 +36,13 @@ class TestModelType:
         assert fx_model.kappas_distinct
         twin = OuModel(kappas=(0.5, 0.5), mean_X=1.0, sigma=0.1, horizon_T=1.0)
         assert not twin.kappas_distinct
+
+    def test_beliefs_carry_their_model(self, fx_model):
+        beliefs = ou_beliefs(fx_model)
+        assert beliefs.ou is fx_model
+        assert constant_beliefs([0.0], [1.0]).ou is None
+        rebuilt = dataclasses.replace(beliefs, agents=beliefs.agents[::-1])
+        assert rebuilt.ou is fx_model and rebuilt.agents == beliefs.agents[::-1]
 
 
 class TestSolveAb:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from illiquid_eq import simulate as simulate_module
 from illiquid_eq.kernel import CostKernel
 from illiquid_eq.model import AgentBelief, BeliefSet
 from illiquid_eq.pde import GridSurface
@@ -16,6 +17,11 @@ def _untagged_ou(kappa=0.8625, mean=1.25, sigma=0.128):
             drift=lambda t, x: kappa * (mean - np.asarray(x, dtype=float)),
             vol=lambda t, x: sigma * np.ones_like(np.asarray(x, dtype=float))),),
         parabolicity_floor=sigma**2)
+
+
+def _no_noise(monkeypatch):
+    monkeypatch.setattr(simulate_module, "_path_normals",
+                        lambda seed, npaths, nsteps: np.zeros((npaths, nsteps)))
 
 
 class TestSimulate:
@@ -32,8 +38,9 @@ class TestSimulate:
         big = simulate(fx_beliefs, 0, 1.0, 0.0, 3.0, 50, 300, seed=17)
         assert np.array_equal(small.paths, big.paths[:10])
 
-    def test_zero_noise_follows_drift_flow(self, fx_beliefs):
-        batch = simulate(fx_beliefs, 0, 1.0, 0.0, 3.0, 100, 3, seed=1, vol_scale=0.0)
+    def test_zero_noise_follows_drift_flow(self, fx_beliefs, monkeypatch):
+        _no_noise(monkeypatch)
+        batch = simulate(fx_beliefs, 0, 1.0, 0.0, 3.0, 100, 3, seed=1)
         expect = 1.25 + (1.0 - 1.25) * np.exp(-0.8625 * batch.ts)
         for p in range(3):
             assert np.allclose(batch.paths[p], expect, atol=1e-13)
@@ -49,10 +56,10 @@ class TestSimulate:
         se_var = np.sqrt(2.0 / (len(XT) - 1)) * var_th
         assert abs(XT.var(ddof=1) - var_th) <= 3 * se_var
 
-    def test_average_measure_drift(self, fx_beliefs):
+    def test_average_measure_drift(self, fx_beliefs, monkeypatch):
         # averaged speed: deterministic flow relaxes at kappa_bar
-        batch = simulate(fx_beliefs, "average", 1.0, 0.0, 3.0, 100, 1, seed=2,
-                         vol_scale=0.0)
+        _no_noise(monkeypatch)
+        batch = simulate(fx_beliefs, "average", 1.0, 0.0, 3.0, 100, 1, seed=2)
         expect = 1.25 + (1.0 - 1.25) * np.exp(-0.575 * batch.ts)
         assert np.allclose(batch.paths[0], expect, atol=1e-13)
 
@@ -78,12 +85,6 @@ class TestSimulate:
         perm = rng.permutation(len(XT))
         assert XT.mean() == pytest.approx(XT[perm].mean(), abs=1e-12)
         assert XT.std() == pytest.approx(XT[perm].std(), abs=1e-12)
-
-    def test_increments_retained_on_request(self, fx_beliefs):
-        batch = simulate(fx_beliefs, 0, 1.0, 0.0, 3.0, 10, 5, seed=4,
-                         keep_increments=True)
-        assert batch.increments.shape == (5, 10)
-        assert simulate(fx_beliefs, 0, 1.0, 0.0, 3.0, 10, 5, seed=4).increments is None
 
     def test_measure_validation(self, fx_beliefs):
         with pytest.raises(ValueError):
