@@ -18,12 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from .model import BeliefSet, MarketSpec
-from .pde import Grid1D, GridSurface, _interp2, _march, solve_frictionless, solve_risk_neutral
+from .pde import (BLOCK_LEVELS, Grid1D, GridSurface, _coeff_grid, _interp2, _march, _midpoints,
+                  solve_frictionless, solve_risk_neutral)
 
 __all__ = ["CorrectionSurface", "SmoothnessError", "tc_correction", "hc_correction"]
-
-# fine time levels per block of the trading-cost derivative chain
-BLOCK_LEVELS = 64
 
 
 class SmoothnessError(ValueError):
@@ -42,10 +40,6 @@ def _smooth_x(F: np.ndarray) -> np.ndarray:
     out = F.copy()
     out[:, 1:-1] = 0.25 * F[:, :-2] + 0.5 * F[:, 1:-1] + 0.25 * F[:, 2:]
     return out
-
-
-def _coeff_grid(fn, ts, xs) -> np.ndarray:
-    return np.stack([np.asarray(fn(t, xs), dtype=float) for t in ts])
 
 
 def _halo(lo: int, hi: int, nt: int) -> tuple:
@@ -78,12 +72,12 @@ def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.
         own = slice(lo - h0, hi - h0)
         vx = np.gradient(v0[h0:h1], h, axis=1, edge_order=2)
         vxx = np.gradient(vx, h, axis=1, edge_order=2)
-        bbar = _coeff_grid(beliefs.drift_bar, ts, fxs)
-        s2bar = _coeff_grid(beliefs.vol_sq_bar, ts, fxs)
+        bs = [_coeff_grid(agent.drift, ts, fxs) for agent in beliefs.agents]
+        s2s = [_coeff_grid(agent.vol, ts, fxs) ** 2 for agent in beliefs.agents]
+        # the averages as drift_bar and vol_sq_bar form them
+        bbar, s2bar = sum(bs) / n, sum(s2s) / n
         source = np.zeros((hi - lo, len(fxs)))
-        for agent in beliefs.agents:
-            b_i = _coeff_grid(agent.drift, ts, fxs)
-            s2_i = _coeff_grid(agent.vol, ts, fxs) ** 2
+        for b_i, s2_i in zip(bs, s2s):
             # L^i v0 via the frictionless equation: only coefficient differences survive
             li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx \
                 + gamma * spec.supply_a0 / n
@@ -125,7 +119,7 @@ def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
     ts, xs = grid.ts(spec.horizon_T), grid.xs
     w = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
                np.zeros((1, len(xs))),
-               source=lambda t: _interp2(fts, fxs, smoothed, np.full_like(xs, t), xs))[0]
+               source=_interp2(fts, fxs, smoothed, _midpoints(ts)[:, None], xs))[0]
     return CorrectionSurface(ts=ts, xs=xs, v=w)
 
 
@@ -141,12 +135,10 @@ def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Correct
     v0, vis = solve_risk_neutral(spec, beliefs, grid)
     ts, xs = v0.ts, v0.xs
     T = spec.horizon_T
-
-    def source(t):
-        tq = np.full_like(xs, t)
-        v0_t = _interp2(ts, xs, v0.v, tq, xs)
-        return np.stack([(T - t) / lam * (v0_t - _interp2(ts, xs, vi.v, tq, xs)) for vi in vis])
-
+    mids = _midpoints(ts)
+    # every surface at every step midpoint, (N + 1, nt - 1, nx)
+    at_mids = _interp2(ts, xs, np.stack([v0.v] + [vi.v for vi in vis]), mids[:, None], xs)
+    source = ((T - mids) / lam)[:, None, None] * (at_mids[0] - at_mids[1:]).transpose(1, 0, 2)
     w = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], np.zeros((n, len(xs))),
                source=source)
     v_star = w.mean(axis=0) - np.outer(T - ts, np.ones_like(xs)) * spec.supply_a0 / n

@@ -154,8 +154,8 @@ def _read(cfg: RunConfig):
     gcfg = n.get("grid")
     if gcfg:
         grid = pde.Grid1D(x_min=float(gcfg["x_min"]), x_max=float(gcfg["x_max"]),
-                          nx=int(gcfg.get("nx", pde.GRID_NX)),
-                          nt=int(gcfg.get("nt", pde.GRID_NT)))
+                          nx=_integer(gcfg, "nx", pde.GRID_NX, "numerics.grid"),
+                          nt=_integer(gcfg, "nt", pde.GRID_NT, "numerics.grid"))
     elif beliefs.ou is not None:
         grid = pde.default_grid(beliefs)
     else:
@@ -167,13 +167,15 @@ def _read(cfg: RunConfig):
 
     mc = n.get("mc", {}) or {}
     num = {
-        "ode_steps": int(n.get("ode_steps", 3000)),
-        "seed": int(n.get("seed", 3)),
+        "ode_steps": _integer(n, "ode_steps", 3000, "numerics"),
+        "seed": _integer(n, "seed", 3, "numerics"),
         "x_eval": float(n.get("x_eval", 1.0)),
-        "refine": int(n.get("refine", 4)),
-        "paths": int(mc.get("paths", 10000)),
-        "steps": int(mc.get("steps", 600)),
+        "refine": _integer(n, "refine", 4, "numerics"),
+        "paths": _integer(mc, "paths", 10000, "numerics.mc"),
+        "steps": _integer(mc, "steps", 600, "numerics.mc"),
     }
+    if num["refine"] < 1:
+        raise ConfigError(f"numerics.refine must be at least 1, got {num['refine']}")
     if num["paths"] < 2:
         raise ConfigError(f"numerics.mc.paths must be at least 2 for a standard error, "
                           f"got {num['paths']}")
@@ -182,6 +184,15 @@ def _read(cfg: RunConfig):
     if not np.isfinite(num["x_eval"]):
         raise ConfigError(f"numerics.x_eval must be finite, got {num['x_eval']}")
     return spec, beliefs, grid, num
+
+
+def _integer(section, key: str, default: int, where: str) -> int:
+    """An integer config value; a bool or a non-integral number, which int() would truncate, is refused."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require_ou(beliefs, what: str):

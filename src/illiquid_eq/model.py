@@ -1,8 +1,10 @@
 """Market primitives: agent beliefs, market specification and validation.
 
-Coefficient functions are plain callables (t, x) -> array.  A belief set
-built by ``ou.ou_beliefs`` carries its ``OuModel``, which path sampling and
-default grid sizing use for exact formulas; the PDE solver ignores it.
+Coefficient functions are plain callables (t, x) -> array, called with a
+scalar time t and a state x, scalar or array, and returning a result of x's
+shape (a float for a scalar x); the PDE solvers make one call per time level
+with the grid's nodes as x.  A belief set built by ``ou.ou_beliefs`` carries
+its ``OuModel``, which path sampling and default grid sizing use for exact formulas; the PDE solver ignores it.
 Global boundedness of the coefficients is the caller's responsibility and
 is only spot-checked on the computational domain, since the flagship
 mean-reversion example is itself unbounded.

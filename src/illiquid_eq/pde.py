@@ -4,10 +4,15 @@ One spatial dimension, uniform grids.  Time stepping is Crank-Nicolson with
 a Rannacher startup (two implicit-Euler steps).  The agents interact only
 through the zeroth-order cross-agent mean, so with the unknowns ordered
 node-major, agent-minor, each time level of all N equations is a single
-banded linear system of bandwidth N, solved directly.  The domain is
-truncated with zero second spatial derivative (linear extrapolation) at
-both edges, which is exact for affine solutions.  A surface stores what its
-solver computed; its derivative grids are computed on first read.
+banded linear system of bandwidth N, solved directly.  A march sets up
+BLOCK_LEVELS time levels at a time with whole-array numpy: the operator
+bands from one coefficient call per level, stacked, and the implicit
+matrices; its source comes in as one array over the step midpoints.  The
+level loop is then only the explicit half, a finite check of the right-hand
+side and one LAPACK call.  The domain is truncated with zero second spatial
+derivative (linear extrapolation) at both edges, which is exact for affine
+solutions.  A surface stores what its solver computed; its derivative grids
+are computed on first read.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ __all__ = [
 
 # implicit-Euler steps before Crank-Nicolson, damping the payoff's kinks
 RANNACHER_STEPS = 2
+# time levels whose coefficients a march (and the trading-cost chain) sets up at once
+BLOCK_LEVELS = 64
 # default grid: nodes, time levels and half-width in stationary standard deviations
 GRID_NX, GRID_NT, GRID_WIDTHS = 241, 601, 6.0
 
@@ -54,6 +61,9 @@ class Grid1D:
     nt: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+            raise ValueError(f"grid bounds must be finite, got x_min={self.x_min}, "
+                             f"x_max={self.x_max}")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
         if self.nx < 3:
@@ -87,7 +97,7 @@ def default_grid(beliefs: BeliefSet) -> Grid1D:
 
 
 def _interp2(ts, xs, F, tq, xq):
-    """Bilinear interpolation on a uniform grid, F indexed (t, x).
+    """Bilinear interpolation on a uniform grid, F indexed (..., t, x).
 
     Clamps in t; extrapolates linearly in x beyond the edges, consistent
     with the zero-curvature boundary condition.  Needs at least 2 time levels.
@@ -100,11 +110,16 @@ def _interp2(ts, xs, F, tq, xq):
     wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0)
     ix = np.clip(((xq - xs[0]) / h).astype(int), 0, len(xs) - 2)
     wx = (xq - xs[ix]) / h  # outside [0,1] beyond the edges -> linear extrapolation
-    f00 = F[it, ix]
-    f01 = F[it, ix + 1]
-    f10 = F[it + 1, ix]
-    f11 = F[it + 1, ix + 1]
-    return (1 - wt) * ((1 - wx) * f00 + wx * f01) + wt * ((1 - wx) * f10 + wx * f11)
+    # (1 - wt) ((1 - wx) f00 + wx f01) + wt ((1 - wx) f10 + wx f11), in place
+    # where it can be: four corner arrays are never held at once
+    v = (1 - wx) * F[..., it, ix]
+    v += wx * F[..., it, ix + 1]
+    v *= 1 - wt
+    upper = (1 - wx) * F[..., it + 1, ix]
+    upper += wx * F[..., it + 1, ix + 1]
+    upper *= wt
+    v += upper
+    return v
 
 
 def _dv_dx(v: np.ndarray, h: float) -> np.ndarray:
@@ -118,71 +133,104 @@ def _dv_dx(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _bands(xs, drift_fn, vol_fn, t: float) -> np.ndarray:
-    """(lower, diag, upper) of L = 0.5 sigma^2 d_xx + b d_x at time t, shape (3, nx).
+def _coeff_grid(fn, ts, xs) -> np.ndarray:
+    """fn(t, xs) at each time of ts, one call per time, shape (len(ts), nx)."""
+    return np.stack([np.asarray(fn(t, xs), dtype=float) for t in ts])
 
-    Boundary rows use the linear-extrapolation ghost node: d_xx -> 0 and
-    d_x -> one-sided first difference.  Raises on degenerate vol.
+
+def _midpoints(ts) -> np.ndarray:
+    """The midpoint of each time step, where a march reads its source."""
+    return 0.5 * (ts[:-1] + ts[1:])
+
+
+def _bands(xs, coeffs, ts) -> np.ndarray:
+    """(lower, diag, upper) of each L_i = 0.5 sigma_i^2 d_xx + b_i d_x, shape (3, len(ts), N, nx).
+
+    One ``fn(t, xs)`` call per coefficient and time.  Boundary rows use the
+    linear-extrapolation ghost node: d_xx -> 0 and d_x -> one-sided first
+    difference.  Raises on degenerate vol, naming the latest such time, the
+    first that the backward march reaches.
     """
     h = xs[1] - xs[0]
-    b = np.asarray(drift_fn(t, xs), dtype=float)
-    s2 = np.asarray(vol_fn(t, xs), dtype=float) ** 2
-    if np.any(s2 <= 0.0) or not np.all(np.isfinite(s2)):
-        raise DegenerateVolatilityError(f"nonpositive or non-finite sigma^2 at t={t:.6g}")
-    L = np.zeros((3, len(xs)))
+    L = np.zeros((3, len(ts), len(coeffs), len(xs)))
     lo, di, up = L
-    lo[1:-1] = 0.5 * s2[1:-1] / h**2 - b[1:-1] / (2 * h)
-    di[1:-1] = -s2[1:-1] / h**2
-    up[1:-1] = 0.5 * s2[1:-1] / h**2 + b[1:-1] / (2 * h)
-    di[0] = -b[0] / h
-    up[0] = b[0] / h
-    di[-1] = b[-1] / h
-    lo[-1] = -b[-1] / h
+    sound = np.ones(len(ts), dtype=bool)
+    for i, (drift_fn, vol_fn) in enumerate(coeffs):
+        b = _coeff_grid(drift_fn, ts, xs)
+        s2 = _coeff_grid(vol_fn, ts, xs) ** 2
+        sound &= np.all((s2 > 0.0) & np.isfinite(s2), axis=1)
+        lo[:, i, 1:-1] = 0.5 * s2[:, 1:-1] / h**2 - b[:, 1:-1] / (2 * h)
+        di[:, i, 1:-1] = -s2[:, 1:-1] / h**2
+        up[:, i, 1:-1] = 0.5 * s2[:, 1:-1] / h**2 + b[:, 1:-1] / (2 * h)
+        di[:, i, 0] = -b[:, 0] / h
+        up[:, i, 0] = b[:, 0] / h
+        di[:, i, -1] = b[:, -1] / h
+        lo[:, i, -1] = -b[:, -1] / h
+    if not sound.all():
+        t = ts[np.flatnonzero(~sound)[-1]]
+        raise DegenerateVolatilityError(f"nonpositive or non-finite sigma^2 at t={t:.6g}")
     return L
 
 
 def _level_solver(n: int, nx: int):
-    """Solver of one implicit level, v_i - k (L_i v_i + c (v_i - vbar)) = rhs_i.
+    """(matrices, solve) of the implicit levels v_i - k (L_i v_i + c (v_i - vbar)) = rhs_i.
 
-    Returns ``solve(lo, di, up, c, k, rhs)``, the new values, shape (N, nx).
-    Unknown j*N + i is agent i at node j.  Within a node the mean coupling
-    is an N x N block with diagonal 1 - k (di_i + c) + k c/N and
-    off-diagonal k c/N; L_i links nodes at offsets +-N.  The matrix goes
-    straight to the LAPACK routine that ``solve_banded((N, N))`` picks, fetched
-    once: gtsv for one equation, otherwise gbsv, whose band storage has N
-    leading rows of pivoting fill-in above the (2N + 1) diagonals.
+    ``matrices(lo, di, up, c, k)`` takes a block of B levels, bands (B, N, nx)
+    and c, k (B,), and returns their matrices, checked finite; ``solve(a,
+    rhs)`` takes one level's matrix and rhs (N, nx) and returns the new
+    values, (N, nx).  Unknown j*N + i is agent i at node j.  Within a node
+    the mean coupling is an N x N block with diagonal 1 - k (di_i + c) + k c/N
+    and off-diagonal k c/N; L_i links nodes at offsets +-N.  The matrices are
+    stored for the LAPACK routine that ``solve_banded((N, N))`` picks, fetched
+    once: gtsv for one equation (rows: sub-diagonal from index 1, diagonal,
+    super-diagonal), otherwise gbsv, whose band storage has N leading rows of
+    pivoting fill-in above the (2N + 1) diagonals, each level laid out in
+    Fortran order so that gbsv factors it in place.
     """
     if n == 1:
         gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
-        def solve(lo, di, up, c, k, rhs):
-            dl, d, du = -k * lo[0, 1:], 1.0 - k * (di[0] + c) + k * c, -k * up[0, :-1]
-            _require_finite(dl, d, du, rhs)
-            *_, x, info = gtsv(dl, d, du, rhs[0], True, True, True, True)
+        def matrices(lo, di, up, c, k):
+            k, c = k[:, None], c[:, None]
+            a = np.zeros((len(k), 3, nx))
+            a[:, 0, 1:] = -k * lo[:, 0, 1:]
+            a[:, 1] = 1.0 - k * (di[:, 0] + c) + k * c
+            a[:, 2, :-1] = -k * up[:, 0, :-1]
+            _require_finite(a)
+            return a
+
+        def solve(a, rhs):
+            *_, x, info = gtsv(a[0, 1:], a[1], a[2, :-1], rhs[0], True, True, True, True)
             return _solved(x, info)[None, :]
-        return solve
+        return matrices, solve
 
     gbsv, = get_lapack_funcs(("gbsv",), (np.empty(0),))
     width = n * nx
 
-    def solve(lo, di, up, c, k, rhs):
-        ab = np.zeros((3 * n + 1, width))
-        ab[n, n:] = -k * up[:, :-1].T.ravel()
-        ab[2 * n] = (1.0 - k * (di + c) + k * c / n).T.ravel()
-        ab[3 * n, :-n] = -k * lo[:, 1:].T.ravel()
+    def matrices(lo, di, up, c, k):
+        nb = len(k)
+        k, c = k[:, None, None], c[:, None, None]
+        store = np.zeros((nb, width, 3 * n + 1))
+        ab = store.transpose(0, 2, 1)
+        ab[:, n, n:] = (-k * up[:, :, :-1]).transpose(0, 2, 1).reshape(nb, -1)
+        ab[:, 2 * n] = (1.0 - k * (di + c) + k * c / n).transpose(0, 2, 1).reshape(nb, -1)
+        ab[:, 3 * n, :-n] = (-k * lo[:, :, 1:]).transpose(0, 2, 1).reshape(nb, -1)
         # within-node coupling, A[q -+ d, q] for agents q % N >= d and < N - d
+        node = store.reshape(nb, nx, n, 3 * n + 1)
         for d in range(1, n):
-            ab[2 * n - d].reshape(nx, n)[:, d:] = k * c / n
-            ab[2 * n + d].reshape(nx, n)[:, :n - d] = k * c / n
-        b = rhs.T.ravel()
-        _require_finite(ab, b)
-        _, _, x, info = gbsv(n, n, ab, b, overwrite_ab=True, overwrite_b=True)
+            node[:, :, d:, 2 * n - d] = k * c / n
+            node[:, :, :n - d, 2 * n + d] = k * c / n
+        _require_finite(store)
+        return ab
+
+    def solve(a, rhs):
+        _, _, x, info = gbsv(n, n, a, rhs.T.ravel(), overwrite_ab=True, overwrite_b=True)
         return _solved(x, info).reshape(-1, n).T
-    return solve
+    return matrices, solve
 
 
-def _require_finite(*arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
 
 
@@ -196,34 +244,43 @@ def _march(ts, xs, coeffs, terminal, coupling=None, source=None) -> np.ndarray:
     """March d_t v_i + L_i v_i + c(t)(v_i - vbar) + g_i(t, x) = 0 backward.
 
     ``coeffs`` holds one (drift, vol) pair of callables per equation;
-    ``coupling`` is c on the time levels (zero if None); ``source(t)`` gives
-    g on the grid, broadcastable to (N, nx), at each step's midpoint.  Each
-    time level is one banded solve of all N equations together, with the
-    explicit half built from the previous level's bands.  Returns the values,
-    shape (N, nt, nx).
+    ``coupling`` is c on the time levels (zero if None); ``source`` holds g
+    at each step's midpoint, (nt - 1, ...) with each entry broadcastable to
+    (N, nx).  The bands and implicit matrices of BLOCK_LEVELS levels are
+    built at a time; each level is then the explicit half, from the previous
+    level's bands, and one banded solve of all N equations together.
+    Returns the values, shape (N, nt, nx).
     """
     n, nt = len(coeffs), len(ts)
     c = np.zeros(nt) if coupling is None else coupling
     out = np.empty((n, nt, len(xs)))
     out[:, -1] = terminal
     v = np.array(terminal, dtype=float)
-    solve = _level_solver(n, len(xs))
+    matrices, solve = _level_solver(n, len(xs))
+    dts = ts[1:] - ts[:-1]
+    theta = np.where(np.arange(nt - 1) < nt - 1 - RANNACHER_STEPS, 0.5, 1.0)
+    explicit, k = dts * (1.0 - theta), dts * theta
     # bands of the last level solved: the explicit half of the next step
-    bands = np.stack([_bands(xs, b, s, ts[-1]) for b, s in coeffs], axis=1)
-    for m in range(nt - 2, -1, -1):
-        dt = ts[m + 1] - ts[m]
-        theta = 1.0 if (nt - 2 - m) < RANNACHER_STEPS else 0.5
-        lo, di, up = bands
-        expl = di * v
-        expl[:, :-1] += up[:, :-1] * v[:, 1:]
-        expl[:, 1:] += lo[:, 1:] * v[:, :-1]
-        expl += c[m + 1] * (v - v.mean(axis=0))
-        rhs = v + dt * (1.0 - theta) * expl
-        if source is not None:
-            rhs += dt * np.asarray(source(0.5 * (ts[m] + ts[m + 1])), dtype=float)
-        bands = np.stack([_bands(xs, b, s, ts[m]) for b, s in coeffs], axis=1)
-        v = solve(*bands, c[m], dt * theta, rhs)
-        out[:, m] = v
+    lo1, di1, up1 = _bands(xs, coeffs, ts[-1:])[:, 0]
+    for hi in range(nt - 1, 0, -BLOCK_LEVELS):
+        start = max(0, hi - BLOCK_LEVELS)
+        bands = _bands(xs, coeffs, ts[start:hi])
+        mats = matrices(*bands, c[start:hi], k[start:hi])
+        for m in range(hi - 1, start - 1, -1):
+            expl = di1 * v
+            expl[:, :-1] += up1[:, :-1] * v[:, 1:]
+            expl[:, 1:] += lo1[:, 1:] * v[:, :-1]
+            if coupling is not None:
+                expl += c[m + 1] * (v - v.mean(axis=0))
+            rhs = v + explicit[m] * expl
+            if source is not None:
+                rhs += dts[m] * source[m]
+            _require_finite(rhs)
+            v = solve(mats[m - start], rhs)
+            out[:, m] = v
+            lo1, di1, up1 = bands[:, m - start]
+        # one block's set-up at a time: the next is built after this is freed
+        del mats
     return out
 
 
@@ -336,7 +393,7 @@ def solve_equilibrium(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Equ
     a0 = spec.supply_a0
     c_ts = log_deriv(kern, ts)
     vi = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], terminal, coupling=c_ts,
-                source=lambda t: -(kern.lam * log_deriv(kern, t) ** 2 / n) * a0)
+                source=-(kern.lam * log_deriv(kern, _midpoints(ts)) ** 2 / n) * a0)
     v = vi.mean(axis=0) + (kern.lam / n) * c_ts[:, None] * a0
     return EquilibriumSolution(ts=ts, xs=xs, v=v, vi=vi, spec=spec, beliefs=beliefs)
 
@@ -352,7 +409,7 @@ def solve_frictionless(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Gr
     terminal = np.asarray(spec.payoff(xs), dtype=float)[None, :]
     g = spec.kernel.gamma * spec.supply_a0 / beliefs.n_agents
     v = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
-               terminal, source=lambda t: -g)[0]
+               terminal, source=np.full(len(ts) - 1, -g))[0]
     return GridSurface(ts=ts, xs=xs, v=v)
 
 

@@ -104,7 +104,8 @@ def _whole_array_tc(spec, beliefs, grid, refine, time_axis):
     ts, xs = grid.ts(spec.horizon_T), grid.xs
     return _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
                   np.zeros((1, len(xs))),
-                  source=lambda t: _interp2(fts, fxs, smoothed, np.full_like(xs, t), xs))[0]
+                  source=np.stack([_interp2(fts, fxs, smoothed, np.full_like(xs, t), xs)
+                                   for t in 0.5 * (ts[:-1] + ts[1:])]))[0]
 
 
 # nt = 66 refines to 131 or 261 fine levels, unevenly spaced in floating point,

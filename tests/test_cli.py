@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,7 @@ def test_figures_honour_supply(config, tmp_path):
     "model.costs.lambda=.inf",
     "model.supply=.nan",
     "model.horizon=.inf",
+    "numerics.grid.x_max=.inf",
 ])
 def test_malformed_config_is_input_error(config, tmp_path, capsys, override):
     code = main(["verify", "--config", str(config), "--out", str(tmp_path / "out"),
@@ -216,6 +218,45 @@ def test_malformed_config_is_input_error(config, tmp_path, capsys, override):
     assert code == 2
     assert "error:" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "verify_report.json").exists()
+
+
+def test_infinite_grid_bound_blames_the_grid(config, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["pde-solve", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--set", "numerics.grid.x_max=.inf"])
+    assert code == 2
+    assert "grid bounds must be finite" in capsys.readouterr().err
+    assert not any((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("override, message", [
+    ("numerics.refine=0", "numerics.refine must be at least 1, got 0"),
+    ("numerics.refine=-2", "numerics.refine must be at least 1, got -2"),
+    ("numerics.refine=1.5", "numerics.refine must be an integer, got 1.5"),
+    ("numerics.refine=true", "numerics.refine must be an integer, got True"),
+    ("numerics.grid.nx=240.5", "numerics.grid.nx must be an integer, got 240.5"),
+    ("numerics.grid.nt=false", "numerics.grid.nt must be an integer, got False"),
+    ("numerics.ode_steps=2999.9", "numerics.ode_steps must be an integer, got 2999.9"),
+    ("numerics.seed=3.5", "numerics.seed must be an integer, got 3.5"),
+    ("numerics.mc.paths=true", "numerics.mc.paths must be an integer, got True"),
+    ("numerics.mc.steps=.inf", "numerics.mc.steps must be an integer, got inf"),
+    ("numerics.mc.steps='100'", "numerics.mc.steps must be an integer, got '100'"),
+])
+def test_integer_keys_are_not_truncated(config, tmp_path, capsys, override, message):
+    # asymptotics writes its sweeps before it refines the grid: nothing may be written
+    out = tmp_path / "out"
+    code = main(["asymptotics", "--config", str(config), "--out", str(out), "--set", override])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+def test_integral_float_is_an_integer(config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["pde-solve", "--config", str(config), "--out", str(out),
+                 "--set", "numerics.grid={x_min: 0.53, x_max: 1.97, nx: 41.0, nt: 61.0}"]) == 0
+    assert len(np.loadtxt(out / "equilibrium.csv", delimiter=",", skiprows=1)) == 41 * 61
 
 
 def test_output_directory_must_be_a_path(config, tmp_path, capsys, monkeypatch):

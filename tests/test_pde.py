@@ -6,9 +6,11 @@ import pytest
 from illiquid_eq.kernel import CostKernel, log_deriv
 from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec, constant_beliefs
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
-from illiquid_eq.pde import (DegenerateVolatilityError, Grid1D, _dv_dx, _level_solver, _march,
-                             default_grid, solve_equilibrium, solve_frictionless,
-                             solve_risk_neutral)
+import scipy.linalg
+
+from illiquid_eq.pde import (BLOCK_LEVELS, DegenerateVolatilityError, Grid1D, _dv_dx, _interp2,
+                             _level_solver, _march, default_grid, solve_equilibrium,
+                             solve_frictionless, solve_risk_neutral)
 from illiquid_eq.simulate import feynman_kac_vi, simulate
 
 from conftest import interior_mask
@@ -29,6 +31,11 @@ class TestGrid:
             Grid1D(0.0, 1.0, 2, 11)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 11, 1)
+
+    @pytest.mark.parametrize("bounds", [(0.5, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+    def test_bounds_must_be_finite(self, bounds):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            Grid1D(*bounds, 11, 11)
 
     def test_default_grid_width(self, fx_beliefs):
         g = default_grid(fx_beliefs)
@@ -291,7 +298,8 @@ class TestMarch:
         c = -1.5 * (1.0 + ts)
         source = lambda t: np.stack([np.cos((i + 1) * xs) * (1.0 + t) for i in range(n)])
         terminal = np.stack([np.sin(xs + i) for i in range(n)])
-        got = _march(ts, xs, coeffs, terminal, coupling=c, source=source)
+        got = _march(ts, xs, coeffs, terminal, coupling=c,
+                     source=np.stack([source(t) for t in 0.5 * (ts[:-1] + ts[1:])]))
 
         mean = np.kron(np.full((n, n), 1.0 / n), np.eye(nx))
 
@@ -313,9 +321,11 @@ class TestMarch:
     def test_non_finite_level_is_refused(self, n):
         xs = np.linspace(-1.0, 1.0, 5)
         coeffs = [(lambda t, x: 0.1 * x, lambda t, x: 0.3 + 0.0 * x)] * n
+        ts = np.linspace(0.0, 1.0, 4)
+        source = lambda t: np.where(xs > 0.5, np.nan, 0.0)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _march(np.linspace(0.0, 1.0, 4), xs, coeffs, np.zeros((n, 5)),
-                   source=lambda t: np.where(xs > 0.5, np.nan, 0.0))
+            _march(ts, xs, coeffs, np.zeros((n, 5)),
+                   source=np.stack([source(t) for t in 0.5 * (ts[:-1] + ts[1:])]))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_singular_level_is_linalg_error(self, n):
@@ -325,4 +335,88 @@ class TestMarch:
         zero = np.zeros((n, nx))
         di = np.full((n, nx), 1.0 / k) if n == 1 else zero
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-            _level_solver(n, nx)(zero, di, zero, 1.0 / k, k, np.ones((n, nx)))
+            matrices, solve = _level_solver(n, nx)
+            solve(matrices(zero[None], di[None], zero[None], np.array([1.0 / k]),
+                           np.array([k]))[0], np.ones((n, nx)))
+
+
+def _per_level_march(ts, xs, coeffs, terminal, c, mid_source):
+    """The theta scheme one level at a time, each level's matrix in the band
+    storage of ``scipy.linalg.solve_banded((N, N))``, unknown j*N + i for
+    agent i at node j."""
+    n, nx = len(coeffs), len(xs)
+    h = xs[1] - xs[0]
+
+    def bands(t):
+        L = np.zeros((3, n, nx))
+        for i, (drift, vol) in enumerate(coeffs):
+            b, s2 = drift(t, xs), vol(t, xs) ** 2
+            L[0, i, 1:-1] = 0.5 * s2[1:-1] / h**2 - b[1:-1] / (2 * h)
+            L[1, i, 1:-1] = -s2[1:-1] / h**2
+            L[2, i, 1:-1] = 0.5 * s2[1:-1] / h**2 + b[1:-1] / (2 * h)
+            L[1, i, 0], L[2, i, 0] = -b[0] / h, b[0] / h
+            L[1, i, -1], L[0, i, -1] = b[-1] / h, -b[-1] / h
+        return L
+
+    out = np.empty((n, len(ts), nx))
+    out[:, -1] = v = terminal
+    explicit_bands = bands(ts[-1])
+    for m in range(len(ts) - 2, -1, -1):
+        dt = ts[m + 1] - ts[m]
+        theta = 1.0 if m >= len(ts) - 3 else 0.5
+        lo, di, up = explicit_bands
+        expl = di * v
+        expl[:, :-1] += up[:, :-1] * v[:, 1:]
+        expl[:, 1:] += lo[:, 1:] * v[:, :-1]
+        expl += c[m + 1] * (v - v.mean(axis=0))
+        rhs = v + dt * (1.0 - theta) * expl + dt * mid_source[m]
+        lo, di, up = explicit_bands = bands(ts[m])
+        k = dt * theta
+        ab = np.zeros((2 * n + 1, n * nx))
+        ab[0, n:] = -k * up[:, :-1].T.ravel()
+        ab[n] = (1.0 - k * (di + c[m]) + k * c[m] / n).T.ravel()
+        ab[2 * n, :-n] = -k * lo[:, 1:].T.ravel()
+        for d in range(1, n):
+            ab[n - d].reshape(nx, n)[:, d:] = k * c[m] / n
+            ab[n + d].reshape(nx, n)[:, :n - d] = k * c[m] / n
+        v = scipy.linalg.solve_banded((n, n), ab, rhs.T.ravel()).reshape(nx, n).T
+        out[:, m] = v
+    return out
+
+
+class TestBlockedMarch:
+    # two full blocks and a partial one of BLOCK_LEVELS levels, on uneven steps
+    ts = np.linspace(0.0, 1.0, 2 * BLOCK_LEVELS + 5) ** 1.2
+    xs = np.linspace(-1.0, 2.0, 11)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_per_level_march(self, n):
+        ts, xs = self.ts, self.xs
+        coeffs = [(lambda t, x, i=i: (0.3 + 0.2 * i) * (0.5 - x) * (1.0 + t),
+                   lambda t, x, i=i: 0.4 + 0.1 * i + 0.05 * np.sin(x + 3 * t)) for i in range(n)]
+        c = -1.5 * (1.0 + np.cos(2 * ts))
+        source = lambda t: np.stack([np.cos((i + 1) * xs + t) for i in range(n)])
+        mid_source = np.stack([source(t) for t in 0.5 * (ts[:-1] + ts[1:])])
+        terminal = np.stack([np.sin(xs + i) for i in range(n)])
+        got = _march(ts, xs, coeffs, terminal, coupling=c, source=mid_source)
+        want = _per_level_march(ts, xs, coeffs, terminal.copy(), c, mid_source)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("level", [len(ts) - 1, 2 * BLOCK_LEVELS + 1, BLOCK_LEVELS + 30, 2, 0])
+    def test_vanishing_vol_names_its_level(self, level):
+        # a second vanishing level below it, in the same block when there is
+        # room, is not reached: the march goes backward
+        ts, xs = self.ts, self.xs
+        zero = {ts[level], ts[max(level - 3, 0)]}
+        coeffs = [(lambda t, x: 0.1 * x, lambda t, x: 0.3 + 0.0 * x),
+                  (lambda t, x: 0.1 * x, lambda t, x: (0.0 if t in zero else 0.3) + 0.0 * x)]
+        with pytest.raises(DegenerateVolatilityError, match=f"at t={ts[level]:.6g}$"):
+            _march(ts, xs, coeffs, np.zeros((2, len(xs))))
+
+
+def test_interp2_stacked_surfaces_match_one_at_a_time():
+    ts, xs = np.linspace(0.0, 3.0, 7), np.linspace(0.5, 2.0, 9)
+    F = np.random.default_rng(1).random((3, len(ts), len(xs)))
+    tq, xq = np.linspace(0.1, 2.9, 5)[:, None], np.linspace(0.4, 2.1, 9)
+    got = _interp2(ts, xs, F, tq, xq)
+    assert np.array_equal(got, np.stack([_interp2(ts, xs, f, tq, xq) for f in F]))
