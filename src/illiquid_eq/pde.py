@@ -12,7 +12,8 @@ level loop is then only the explicit half, a finite check of the right-hand
 side and one LAPACK call.  The domain is truncated with zero second spatial
 derivative (linear extrapolation) at both edges, which is exact for affine
 solutions.  A surface stores what its solver computed; its derivative grids
-are computed on first read.
+are computed on first read, and its agent drift calls the belief callables
+once per distinct time, as model.py's (scalar t, array x) contract allows.
 """
 
 from __future__ import annotations
@@ -96,20 +97,27 @@ def default_grid(beliefs: BeliefSet) -> Grid1D:
     return Grid1D(m.mean_X - half, m.mean_X + half, GRID_NX, GRID_NT)
 
 
-def _interp2(ts, xs, F, tq, xq):
-    """Bilinear interpolation on a uniform grid, F indexed (..., t, x).
+def _cell(ts, xs, tq, xq):
+    """(it, wt, ix, wx): the bilinear cell and weights of each query on a uniform grid.
 
-    Clamps in t; extrapolates linearly in x beyond the edges, consistent
-    with the zero-curvature boundary condition.  Needs at least 2 time levels.
+    Clamps in t, infinite times included; extrapolates linearly in x beyond
+    the edges, consistent with the zero-curvature boundary condition.  Needs
+    at least 2 time levels.
     """
     tq = np.asarray(tq, dtype=float)
     xq = np.asarray(xq, dtype=float)
     dt = ts[1] - ts[0]
     h = xs[1] - xs[0]
-    it = np.clip(((tq - ts[0]) / dt).astype(int), 0, len(ts) - 2)
+    # clamped before the cast; fmax takes a NaN time to cell 0, where its weight stays NaN
+    it = np.fmin(np.fmax((tq - ts[0]) / dt, 0.0), len(ts) - 2).astype(int)
     wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0)
     ix = np.clip(((xq - xs[0]) / h).astype(int), 0, len(xs) - 2)
     wx = (xq - xs[ix]) / h  # outside [0,1] beyond the edges -> linear extrapolation
+    return it, wt, ix, wx
+
+
+def _bilinear(F, it, wt, ix, wx):
+    """F indexed (..., t, x) at the cells and weights from ``_cell``."""
     # (1 - wt) ((1 - wx) f00 + wx f01) + wt ((1 - wx) f10 + wx f11), in place
     # where it can be: four corner arrays are never held at once
     v = (1 - wx) * F[..., it, ix]
@@ -120,6 +128,11 @@ def _interp2(ts, xs, F, tq, xq):
     upper *= wt
     v += upper
     return v
+
+
+def _interp2(ts, xs, F, tq, xq):
+    """Bilinear interpolation of F, indexed (..., t, x), at (tq, xq); see ``_cell``."""
+    return _bilinear(F, *_cell(ts, xs, tq, xq))
 
 
 def _dv_dx(v: np.ndarray, h: float) -> np.ndarray:
@@ -355,16 +368,25 @@ class EquilibriumSolution(GridSurface):
         return g
 
     def agent_drift(self, i: int, t, x):
-        """mu_i = L^i v from the differenced grids."""
-        dv_dt = _interp2(self.ts, self.xs, self.dv_dt, t, x)
-        dv_dx = _interp2(self.ts, self.xs, self.dv_dx, t, x)
-        dv_dxx = _interp2(self.ts, self.xs, self.dv_dxx, t, x)
-        tb, xb = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-        flat_t, flat_x = tb.ravel(), xb.ravel()
-        bv = np.array([self.beliefs.drift(i, float(a), float(c)) for a, c in zip(flat_t, flat_x)])
-        sv = np.array([self.beliefs.vol(i, float(a), float(c)) for a, c in zip(flat_t, flat_x)])
-        b = bv.reshape(tb.shape)
-        s = sv.reshape(tb.shape)
+        """mu_i = L^i v from the differenced grids, one bilinear cell per point.
+
+        Agent i's drift and vol are called once per distinct time with every
+        state at that time, as model.py's (scalar t, array x) contract allows.
+        Commands pass a scalar t (one call of each); an array t, one call per
+        distinct value, serves the library's scalar/array input rule.
+        """
+        cell = _cell(self.ts, self.xs, t, x)
+        dv_dt, dv_dx, dv_dxx = (_bilinear(g, *cell) for g in (self.dv_dt, self.dv_dx, self.dv_dxx))
+        if np.ndim(t) == 0:
+            t, x = float(t), np.asarray(x, dtype=float)
+            b, s = self.beliefs.drift(i, t, x), self.beliefs.vol(i, t, x)
+        else:
+            tb, xb = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+            b, s = np.full(tb.shape, np.nan), np.full(tb.shape, np.nan)  # NaN times stay NaN
+            for tk in np.unique(tb):
+                at = tb == tk
+                b[at] = self.beliefs.drift(i, float(tk), xb[at])
+                s[at] = self.beliefs.vol(i, float(tk), xb[at])
         return dv_dt + b * dv_dx + 0.5 * s * s * dv_dxx
 
     def to_csv(self, path) -> None:

@@ -1,5 +1,7 @@
 """Finite-difference solver: exact limits, oracle comparisons, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -420,3 +422,67 @@ def test_interp2_stacked_surfaces_match_one_at_a_time():
     tq, xq = np.linspace(0.1, 2.9, 5)[:, None], np.linspace(0.4, 2.1, 9)
     got = _interp2(ts, xs, F, tq, xq)
     assert np.array_equal(got, np.stack([_interp2(ts, xs, f, tq, xq) for f in F]))
+
+
+@pytest.mark.parametrize("tq, at", [(-np.inf, 0), (-0.3, 0), (1.4, -1), (np.inf, -1)])
+def test_interp2_clamps_time(tq, at):
+    # a time outside [0, T], infinite included, reads the edge level, a scalar
+    # time and an array of it alike, with x beyond both edges extrapolated
+    ts, xs = np.linspace(0.0, 1.0, 11), np.linspace(0.5, 2.0, 9)
+    F = np.random.default_rng(2).random((len(ts), len(xs)))
+    xq = np.array([0.2, 0.5, 1.37, 2.6])
+    j = np.array([0, 0, 4, 7])
+    w = (xq - xs[j]) / (xs[1] - xs[0])
+    want = (1 - w) * F[at, j] + w * F[at, j + 1]
+    with np.errstate(all="raise"):
+        got = _interp2(ts, xs, F, tq, xq)
+        assert np.array_equal(_interp2(ts, xs, F, np.full(4, tq), xq), got)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_interp2_nan_time_gives_nan():
+    ts, xs = np.linspace(0.0, 1.0, 11), np.linspace(0.5, 2.0, 9)
+    F = np.ones((len(ts), len(xs)))
+    with np.errstate(all="raise"):
+        assert np.isnan(_interp2(ts, xs, F, np.nan, 1.0))
+        assert np.isnan(_interp2(ts, xs, F, np.array([0.5, np.nan]), 1.0)).tolist() == [False, True]
+
+
+def _counted(beliefs):
+    """The belief set with each drift and vol call counted, and the counts."""
+    calls = {"drift": 0, "vol": 0}
+
+    def count(kind, fn):
+        def wrapped(t, x):
+            calls[kind] += 1
+            return fn(t, x)
+        return wrapped
+    agents = tuple(AgentBelief(count("drift", a.drift), count("vol", a.vol))
+                   for a in beliefs.agents)
+    return dataclasses.replace(beliefs, agents=agents), calls
+
+
+def _per_point_drift(sol, i, t, x):
+    """The reference: one belief call per point, each grid interpolated on its own."""
+    tb, xb = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    pts = list(zip(tb.ravel().tolist(), xb.ravel().tolist()))
+    b = np.array([sol.beliefs.drift(i, a, c) for a, c in pts]).reshape(tb.shape)
+    s = np.array([sol.beliefs.vol(i, a, c) for a, c in pts]).reshape(tb.shape)
+    dv_dt, dv_dx, dv_dxx = (_interp2(sol.ts, sol.xs, g, tb, xb)
+                            for g in (sol.dv_dt, sol.dv_dx, sol.dv_dxx))
+    return dv_dt + b * dv_dx + 0.5 * s * s * dv_dxx
+
+
+@pytest.mark.parametrize("kind", ["ou", "constant"])
+def test_agent_drift_calls_beliefs_once_per_time(kind, fx_spec, fx_beliefs, small_grid):
+    base = fx_beliefs if kind == "ou" else constant_beliefs([0.02, -0.01], [0.1, 0.2])
+    beliefs, calls = _counted(base)
+    sol = solve_equilibrium(fx_spec, beliefs, small_grid)
+    column = (sol.ts[77], np.linspace(0.4, 2.1, 50))  # a path column, past both edges
+    mesh = np.meshgrid(np.linspace(0.0, 3.0, 3), np.linspace(0.8, 1.7, 4), indexing="ij")
+    for i in range(2):
+        for (t, x), n_calls in ((column, 1), (mesh, 3)):
+            calls.update(drift=0, vol=0)
+            got = sol.agent_drift(i, t, x)
+            assert calls == {"drift": n_calls, "vol": n_calls}
+            assert np.array_equal(got, _per_point_drift(sol, i, t, x))
