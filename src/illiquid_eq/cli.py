@@ -95,21 +95,22 @@ class RunConfig:
 
 
 def _payoff_from(cfg: dict):
+    """(payoff callable, payoff type) of the model section."""
     spec = cfg.get("payoff", {"type": "identity"})
     kind = spec.get("type", "identity")
     if kind == "identity":
-        return lambda x: np.asarray(x, dtype=float) + 0.0
+        return lambda x: np.asarray(x, dtype=float) + 0.0, kind
     if kind == "constant":
         c = float(spec.get("value", 0.0))
-        return lambda x: np.full_like(np.asarray(x, dtype=float), c)
+        return lambda x: np.full_like(np.asarray(x, dtype=float), c), kind
     if kind == "polynomial":
         coeffs = [float(c) for c in spec.get("coeffs", [0.0, 1.0])]
-        return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
+        return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs), kind
     raise ConfigError(f"unknown payoff type {kind!r}")
 
 
 def _build(cfg: RunConfig):
-    """(spec, beliefs, grid, numerics) of a config.
+    """(spec, beliefs, grid, numerics, payoff type) of a config.
 
     The one place that reads the model and numerics sections: a missing key
     or a value of the wrong type raises ConfigError, as does a market that
@@ -142,13 +143,14 @@ def _read(cfg: RunConfig):
     else:
         raise ConfigError(f"unknown beliefs type {btype!r}")
 
+    payoff, payoff_type = _payoff_from(m)
     supply = float(m.get("supply", 0.0))
     allocations = m.get("allocations")
     if allocations is None:
         allocations = [supply / beliefs.n_agents] * beliefs.n_agents
     spec = MarketSpec(kernel=kernel, supply_a0=supply,
                       allocations=tuple(float(a) for a in allocations),
-                      payoff=_payoff_from(m))
+                      payoff=payoff)
 
     n = cfg.numerics
     gcfg = n.get("grid")
@@ -183,7 +185,7 @@ def _read(cfg: RunConfig):
         raise ConfigError(f"numerics.seed must be nonnegative, got {num['seed']}")
     if not np.isfinite(num["x_eval"]):
         raise ConfigError(f"numerics.x_eval must be finite, got {num['x_eval']}")
-    return spec, beliefs, grid, num
+    return spec, beliefs, grid, num, payoff_type
 
 
 def _integer(section, key: str, default: int, where: str) -> int:
@@ -195,9 +197,17 @@ def _integer(section, key: str, default: int, where: str) -> int:
     return int(value)
 
 
-def _require_ou(beliefs, what: str):
+def _ode_model(beliefs, payoff_type: str):
+    """The OuModel of the ODE reduction, which needs OU beliefs and the identity payoff, or None."""
+    return beliefs.ou if payoff_type == "identity" else None
+
+
+def _require_ou(beliefs, payoff_type: str, what: str):
     if beliefs.ou is None:
         raise ConfigError(f"{what} requires beliefs of type 'ou'")
+    if _ode_model(beliefs, payoff_type) is None:
+        raise ConfigError(f"{what} solves the OU ODEs, which hold for the identity payoff only, "
+                          f"not for payoff type {payoff_type!r}")
     return beliefs.ou
 
 
@@ -211,8 +221,8 @@ def _write_json(path, obj) -> None:
 # (files written, verdict): the verdict is None for commands without checks.
 
 def cmd_ou_solve(cfg: RunConfig, out: Path, args) -> tuple:
-    spec, beliefs, _, num = _build(cfg)
-    m = _require_ou(beliefs, "ou-solve")
+    spec, beliefs, _, num, payoff_type = _build(cfg)
+    m = _require_ou(beliefs, payoff_type, "ou-solve")
     ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=spec.supply_a0)
     path = out / "ab_curves.csv"
     oumod.curves_csv(m, ab, path, x_eval=num["x_eval"])
@@ -220,7 +230,7 @@ def cmd_ou_solve(cfg: RunConfig, out: Path, args) -> tuple:
 
 
 def cmd_pde_solve(cfg: RunConfig, out: Path, args) -> tuple:
-    spec, beliefs, grid, _ = _build(cfg)
+    spec, beliefs, grid, _, _ = _build(cfg)
     sol = pde.solve_equilibrium(spec, beliefs, grid)
     path = out / "equilibrium.csv"
     sol.to_csv(path)
@@ -258,9 +268,10 @@ def _write_sweeps(spec, m, num, out: Path) -> list:
 
 
 def cmd_asymptotics(cfg: RunConfig, out: Path, args) -> tuple:
-    spec, beliefs, grid, num = _build(cfg)
+    spec, beliefs, grid, num, payoff_type = _build(cfg)
+    m = _ode_model(beliefs, payoff_type)
     # the sweeps run first, so costs too extreme for the ODE fail before the PDE work
-    sweeps = _write_sweeps(spec, beliefs.ou, num, out) if beliefs.ou is not None else []
+    sweeps = _write_sweeps(spec, m, num, out) if m is not None else []
     files = []
     tc = asy.tc_correction(spec, beliefs, grid, refine=num["refine"])
     hc = asy.hc_correction(spec, beliefs, grid)
@@ -272,12 +283,13 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, args) -> tuple:
 
 
 def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
-    spec, beliefs, grid, num = _build(cfg)
+    spec, beliefs, grid, num, payoff_type = _build(cfg)
     T = spec.horizon_T
     x0 = num["x_eval"]
     rate_scale = 1.5 if sabotage else 1.0
-    if beliefs.ou is not None:
-        surface = oumod.solve_ab(beliefs.ou, spec.kernel, n_steps=num["ode_steps"],
+    m = _ode_model(beliefs, payoff_type)
+    if m is not None:
+        surface = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"],
                                  supply_a0=spec.supply_a0)
     else:
         surface = pde.solve_equilibrium(spec, beliefs, grid)
@@ -330,7 +342,7 @@ def cmd_verify(cfg: RunConfig, out: Path, args) -> tuple:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, args) -> tuple:
-    spec, beliefs, _, num = _build(cfg)
+    spec, beliefs, _, num, _ = _build(cfg)
     rows = []
     files = []
     for measure in list(range(beliefs.n_agents)) + ["average"]:
@@ -361,8 +373,8 @@ def cmd_calibrate(cfg, out: Path, args) -> tuple:
 
 
 def cmd_figures(cfg: RunConfig, out: Path, args) -> tuple:
-    spec, beliefs, _, num = _build(cfg)
-    m = _require_ou(beliefs, "figures")
+    spec, beliefs, _, num, payoff_type = _build(cfg)
+    m = _require_ou(beliefs, payoff_type, "figures")
     x = num["x_eval"]
     a0 = spec.supply_a0
     ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=a0)

@@ -52,7 +52,9 @@ class OuModel:
     horizon_T: float
 
     def __post_init__(self):
-        if len(self.kappas) < 1 or any(k <= 0 for k in self.kappas):
+        if len(self.kappas) < 1:
+            raise ValueError("need at least one agent")
+        if any(k <= 0 for k in self.kappas):
             raise ValueError("all mean-reversion speeds must be positive")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")

@@ -9,21 +9,28 @@ BLOCK_LEVELS time levels at a time with whole-array numpy: the operator
 bands from one coefficient call per level, stacked, and the implicit
 matrices; its source comes in as one array over the step midpoints.  The
 level loop is then only the explicit half, a finite check of the right-hand
-side and one LAPACK call.  The domain is truncated with zero second spatial
-derivative (linear extrapolation) at both edges, which is exact for affine
-solutions.  A surface stores what its solver computed; its derivative grids
-are computed on first read, and its agent drift calls the belief callables
-once per distinct time, as model.py's (scalar t, array x) contract allows.
+side and one LAPACK call, gtsv or gbsv.  Those two routines come from
+scipy's compiled wrappers, the extension module scipy/linalg/_flapack, which
+the first solve loads directly: importing scipy.linalg for them would cost
+every process, solving or not, about 0.3 s of imports.  The domain is
+truncated with zero second spatial derivative (linear extrapolation) at both
+edges, which is exact for affine solutions.  A surface stores what its
+solver computed; its derivative grids are computed on first read, and its
+agent drift calls the belief callables once per distinct time, as model.py's
+(scalar t, array x) contract allows.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from itertools import chain, repeat
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .kernel import log_deriv
 from .model import BeliefSet, MarketSpec
@@ -185,6 +192,23 @@ def _bands(xs, coeffs, ts) -> np.ndarray:
     return L
 
 
+@cache
+def _lapack():
+    """scipy's LAPACK wrappers, loaded without running scipy's or scipy.linalg's __init__."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    where = scipy.submodule_search_locations[0] if scipy else "scipy"
+    path = os.path.join(where, "linalg", "_flapack" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK extension not found: {path}")
+    loader = ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return module
+
+
 def _level_solver(n: int, nx: int):
     """(matrices, solve) of the implicit levels v_i - k (L_i v_i + c (v_i - vbar)) = rhs_i.
 
@@ -194,14 +218,15 @@ def _level_solver(n: int, nx: int):
     values, (N, nx).  Unknown j*N + i is agent i at node j.  Within a node
     the mean coupling is an N x N block with diagonal 1 - k (di_i + c) + k c/N
     and off-diagonal k c/N; L_i links nodes at offsets +-N.  The matrices are
-    stored for the LAPACK routine that ``solve_banded((N, N))`` picks, fetched
-    once: gtsv for one equation (rows: sub-diagonal from index 1, diagonal,
-    super-diagonal), otherwise gbsv, whose band storage has N leading rows of
-    pivoting fill-in above the (2N + 1) diagonals, each level laid out in
-    Fortran order so that gbsv factors it in place.
+    stored for the LAPACK routine that ``solve_banded((N, N))`` picks, taken
+    from ``_lapack()``, scipy's compiled wrappers loaded without the slow
+    import of scipy.linalg: gtsv for one equation (rows: sub-diagonal from
+    index 1, diagonal, super-diagonal), otherwise gbsv, whose band storage
+    has N leading rows of pivoting fill-in above the (2N + 1) diagonals, each
+    level laid out in Fortran order so that gbsv factors it in place.
     """
     if n == 1:
-        gtsv, = get_lapack_funcs(("gtsv",), (np.empty(0),))
+        gtsv = _lapack().dgtsv
 
         def matrices(lo, di, up, c, k):
             k, c = k[:, None], c[:, None]
@@ -217,7 +242,7 @@ def _level_solver(n: int, nx: int):
             return _solved(x, info)[None, :]
         return matrices, solve
 
-    gbsv, = get_lapack_funcs(("gbsv",), (np.empty(0),))
+    gbsv = _lapack().dgbsv
     width = n * nx
 
     def matrices(lo, di, up, c, k):
@@ -249,7 +274,7 @@ def _require_finite(a: np.ndarray) -> None:
 
 def _solved(x, info: int) -> np.ndarray:
     if info != 0:
-        raise LinAlgError(f"singular matrix (LAPACK info {info})")
+        raise np.linalg.LinAlgError(f"singular matrix (LAPACK info {info})")
     return x
 
 

@@ -9,7 +9,9 @@ import pytest
 
 from illiquid_eq.cli import COMMANDS, main
 from illiquid_eq.kernel import CostKernel
-from illiquid_eq.ou import OuModel, solve_ab
+from illiquid_eq.model import MarketSpec
+from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
+from illiquid_eq.pde import Grid1D, solve_equilibrium
 
 OU_FX = """\
 model:
@@ -192,6 +194,46 @@ def test_figures_honour_supply(config, tmp_path):
                                tables[0.0]["fig_error_corrected"], rtol=0, atol=1e-12)
 
 
+# payoffs other than f(x) = x, which the OU ODE reduction assumes
+PAYOFFS = {"constant": "{type: constant, value: 7.0}",
+           "polynomial": "{type: polynomial, coeffs: [0, 0, 1]}"}
+
+
+@pytest.mark.parametrize("command", ["ou-solve", "figures"])
+@pytest.mark.parametrize("kind", list(PAYOFFS))
+def test_ode_commands_refuse_other_payoffs(config, tmp_path, capsys, command, kind):
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config), "--out", str(out),
+                 "--set", f"model.payoff={PAYOFFS[kind]}"])
+    assert code == 2
+    assert f"payoff type {kind!r}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_verify_checks_the_pde_surface_for_other_payoffs(config, tmp_path):
+    grid = Grid1D(x_min=0.53, x_max=1.97, nx=41, nt=61)
+    code, report = _verify(config, tmp_path, "--set", f"model.payoff={PAYOFFS['polynomial']}",
+                           "--set", "numerics.grid={x_min: 0.53, x_max: 1.97, nx: 41, nt: 61}")
+    assert code == 0
+    m = OuModel(kappas=(0.8625, 0.2875), mean_X=1.25, sigma=0.128, horizon_T=3.0)
+    kernel = CostKernel(1e-8, 1e-7, 3.0)
+    square = MarketSpec(kernel, 0.0, (1.0, -1.0),
+                        lambda x: np.polynomial.polynomial.polyval(x, [0.0, 0.0, 1.0]))
+    pde_surface = solve_equilibrium(square, ou_beliefs(m), grid)
+    ode_surface = solve_ab(m, kernel, 3000)
+    for i in range(2):
+        value = report["checks"][f"feynman_kac_agent_{i}"]["surface"]
+        assert value == pde_surface.agent_value(i, 0.0, 1.0)
+        assert abs(value - ode_surface.agent_value(i, 0.0, 1.0)) > 0.1
+
+
+def test_asymptotics_writes_no_sweeps_for_other_payoffs(config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["asymptotics", "--config", str(config), "--out", str(out), *SMALL,
+                 "--set", f"model.payoff={PAYOFFS['polynomial']}"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["hc_correction.csv", "tc_correction.csv"]
+
+
 @pytest.mark.parametrize("override", [
     "numerics.grid={x_min: 0.5}",              # KeyError
     "model.beliefs={type: ou}",
@@ -210,6 +252,7 @@ def test_figures_honour_supply(config, tmp_path):
     "model.supply=.nan",
     "model.horizon=.inf",
     "numerics.grid.x_max=.inf",
+    "model.beliefs={type: ou, kappas: [], mean: 1, sigma: 0.1}",
 ])
 def test_malformed_config_is_input_error(config, tmp_path, capsys, override):
     code = main(["verify", "--config", str(config), "--out", str(tmp_path / "out"),

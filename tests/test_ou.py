@@ -32,6 +32,10 @@ class TestModelType:
         with pytest.raises(ValueError):
             OuModel(kappas=(0.5, -0.1), mean_X=1.0, sigma=0.1, horizon_T=1.0)
 
+    def test_requires_an_agent(self):
+        with pytest.raises(ValueError, match="need at least one agent"):
+            OuModel(kappas=(), mean_X=1.0, sigma=0.1, horizon_T=1.0)
+
     def test_distinct_flag(self, fx_model):
         assert fx_model.kappas_distinct
         twin = OuModel(kappas=(0.5, 0.5), mean_X=1.0, sigma=0.1, horizon_T=1.0)

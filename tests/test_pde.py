@@ -1,10 +1,16 @@
 """Finite-difference solver: exact limits, oracle comparisons, invariants."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import illiquid_eq
+from illiquid_eq import pde
 from illiquid_eq.kernel import CostKernel, log_deriv
 from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec, constant_beliefs
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
@@ -486,3 +492,44 @@ def test_agent_drift_calls_beliefs_once_per_time(kind, fx_spec, fx_beliefs, smal
             got = sol.agent_drift(i, t, x)
             assert calls == {"drift": n_calls, "vol": n_calls}
             assert np.array_equal(got, _per_point_drift(sol, i, t, x))
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this package."""
+    src = str(Path(illiquid_eq.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = ("import sys, illiquid_eq.cli; "
+            "print(sorted(m for m in ('scipy', 'scipy.linalg') if m in sys.modules))")
+    assert _fresh_python(code) == "[]"
+
+
+# pde's loader first, which must not import scipy, or scipy.linalg first
+_LOAD_ORDERS = {
+    "pde first": "from illiquid_eq.pde import _lapack; f = _lapack(); "
+                 "print('scipy' in sys.modules); import scipy.linalg",
+    "scipy first": "import scipy.linalg; from illiquid_eq.pde import _lapack; f = _lapack(); "
+                   "print('scipy.linalg' in sys.modules)",
+}
+
+
+@pytest.mark.parametrize("order", list(_LOAD_ORDERS))
+def test_lapack_routines_are_scipys(order):
+    code = ("import sys; import numpy as np; " + _LOAD_ORDERS[order] + "; "
+            "g = scipy.linalg.get_lapack_funcs(('gtsv', 'gbsv'), (np.empty(0),)); "
+            "print(g[0] is f.dgtsv, g[1] is f.dgbsv)")
+    loaded_scipy, same = _fresh_python(code).splitlines()
+    assert loaded_scipy == ("False" if order == "pde first" else "True")
+    assert same == "True True"
+
+
+def test_missing_lapack_extension_names_the_file(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(pde, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match=r"linalg[/\\]_flapack\.missing\.so"):
+        pde._lapack.__wrapped__()
