@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernel import supply_drag
 from .model import BeliefSet, MarketSpec
 from .pde import (BLOCK_LEVELS, Grid1D, GridSurface, _coeff_grid, _interp2, _march, _midpoints,
                   solve_frictionless, solve_risk_neutral)
@@ -79,8 +80,7 @@ def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.
         source = np.zeros((hi - lo, len(fxs)))
         for b_i, s2_i in zip(bs, s2s):
             # L^i v0 via the frictionless equation: only coefficient differences survive
-            li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx \
-                + gamma * spec.supply_a0 / n
+            li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx
             phi_hat = li_v0 / gamma
             pt = np.gradient(phi_hat, dt, axis=0, edge_order=2)[own]
             px = np.gradient(phi_hat[own], h, axis=1, edge_order=2)
@@ -128,7 +128,7 @@ def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Correct
 
     Solves  L^i w_i + ((T-t)/lam)(v0 - v0_i) = 0, w_i(T) = 0,  for all
     agents in one march, with the risk-neutral surfaces from the
-    finite-difference solver, then averages and subtracts (T-t) a0 / N.
+    finite-difference solver, then averages and adds ``kernel.supply_drag`` / gamma.
     """
     lam = spec.kernel.lam
     n = beliefs.n_agents
@@ -141,5 +141,5 @@ def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Correct
     source = ((T - mids) / lam)[:, None, None] * (at_mids[0] - at_mids[1:]).transpose(1, 0, 2)
     w = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], np.zeros((n, len(xs))),
                source=source)
-    v_star = w.mean(axis=0) - np.outer(T - ts, np.ones_like(xs)) * spec.supply_a0 / n
-    return CorrectionSurface(ts=ts, xs=xs, v=v_star)
+    drag = supply_drag(spec.kernel, spec.supply_a0 / n, ts) / spec.kernel.gamma
+    return CorrectionSurface(ts=ts, xs=xs, v=w.mean(axis=0) + drag[:, None])

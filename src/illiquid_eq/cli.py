@@ -24,7 +24,7 @@ from . import asymptotics as asy
 from . import calibrate as cal
 from . import ou as oumod
 from . import pde, portfolio, simulate, svgplot
-from .kernel import CostKernel
+from .kernel import CostKernel, supply_drag
 from .model import MarketSpec, constant_beliefs, validate
 from .util import write_csv
 
@@ -250,13 +250,11 @@ def _write_sweeps(spec, m, num, out: Path) -> list:
     prices = [ab.value(0.0, x)
               for ab in oumod.solve_ab_batch(m, kernels, n_steps=steps, supply_a0=a0)]
 
-    # the supply lowers the price by gamma a0 T/N and the holding-cost
-    # correction by a0 T/N; the risk-neutral price does not see it
-    shift = a0 * T / m.n_agents
-    v0f = oumod.frictionless_price(m, 0.0, x) - g0 * shift
+    drag = supply_drag(spec.kernel, a0 / m.n_agents, 0.0)
+    v0f = oumod.frictionless_price(m, 0.0, x) + drag
     v0r, _ = oumod.risk_neutral_price(m, 0.0, x)
     tc_target = oumod.tc_correction_closed(m, g0, 0.0, x)
-    hc_target = oumod.hc_correction_closed(m, l0, 0.0, x) - shift \
+    hc_target = oumod.hc_correction_closed(m, l0, 0.0, x) + drag / g0 \
         if m.kappas_distinct else float("nan")
     p_lam, p_gam = out / "lambda_sweep.csv", out / "gamma_sweep.csv"
     write_csv(p_lam, ["lambda", "price", "rescaled_gap", "closed_form"],
@@ -380,9 +378,7 @@ def cmd_figures(cfg: RunConfig, out: Path, args) -> tuple:
     ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=a0)
     ts = ab.ts[:: max(1, len(ab.ts) // 600)]
     bbar, env_lo, env_hi = oumod.volatility_curve(m, ab, ts)
-    # the supply lowers the price by gamma a0 (T - t)/N and the holding-cost
-    # correction by a0 (T - t)/N; the risk-neutral price does not see it
-    shift = a0 * (spec.horizon_T - ts) / m.n_agents
+    drag = supply_drag(spec.kernel, a0 / m.n_agents, ts)
     gamma = spec.kernel.gamma
     price_both = ab.value(ts, x)
     price_no_hc, _ = oumod.risk_neutral_price(m, ts, x)
@@ -392,7 +388,7 @@ def cmd_figures(cfg: RunConfig, out: Path, args) -> tuple:
     figures = [
         ("fig_prices", f"Equilibrium price at x={x:g}", "price",
          [("price_both_costs", price_both, "both costs", "solid"),
-          ("price_no_tc", oumod.frictionless_price(m, ts, x) - gamma * shift,
+          ("price_no_tc", oumod.frictionless_price(m, ts, x) + drag,
            "no trading cost", "dotted"),
           ("price_no_hc", price_no_hc, "no holding cost", "dashed")]),
         ("fig_volatilities", "Equilibrium volatility", "volatility",
@@ -403,7 +399,7 @@ def cmd_figures(cfg: RunConfig, out: Path, args) -> tuple:
          [("error", price_no_hc - price_both, "risk-neutral minus exact", "solid")]),
     ]
     if m.kappas_distinct:
-        vstar = oumod.hc_correction_closed(m, spec.kernel.lam, ts, x) - shift
+        vstar = oumod.hc_correction_closed(m, spec.kernel.lam, ts, x) + drag / gamma
         figures.append(("fig_error_corrected", "Approximation error, first order", "error",
                         [("error", price_no_hc + gamma * vstar - price_both,
                           "corrected minus exact", "solid")]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostKernel", "log_deriv", "ratio"]
+__all__ = ["CostKernel", "log_deriv", "ratio", "supply_drag"]
 
 
 @dataclass(frozen=True)
@@ -72,3 +72,17 @@ def ratio(kernel: CostKernel, u, s):
     p = a * (kernel.horizon_T - np.asarray(u, dtype=float))
     q = a * (kernel.horizon_T - np.asarray(s, dtype=float))
     return np.exp(p - q) * (1.0 + np.exp(-2.0 * p)) / (1.0 + np.exp(-2.0 * q))
+
+
+def supply_drag(kernel: CostKernel, share, t):
+    """-gamma share (T - t): how a supply a0 = N share moves the aggregate price.
+
+    For any beliefs, agent i's price is its zero-supply price plus s(t) =
+    drag - lam share G'/G, so the aggregate, mean(v_i) + lam share G'/G, moves
+    by the drag alone.  Every L^i and the coupling annihilate a function of t,
+    and (G'/G)' = a^2 - (G'/G)^2 with gamma = lam a^2 makes s' = lam share
+    (G'/G)^2 the supply's source, with s(T) = 0.  Drifts L^i v rise by gamma
+    share; the frictionless price moves by the drag and the holding-cost
+    correction by drag / gamma.  Vectorized over ``t``.
+    """
+    return -kernel.gamma * share * (kernel.horizon_T - np.asarray(t, dtype=float))

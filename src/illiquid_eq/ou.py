@@ -4,12 +4,11 @@ With payoff f(x) = x and per-agent dynamics dX = kappa_i*(mean - X) dt
 + sigma dW, the equilibrium system collapses to linear ODEs for the affine
 coefficients A_i(t), B_i(t) of the per-agent prices v_i = A_i + B_i x.
 The aggregate price is mean(v_i) = mean + (x - mean) * Bbar(t) for zero net
-supply; a supply a0 shifts it by -gamma a0 (T - t)/N and each agent's price
-by a further -lam a0 G'/(N G).  This module integrates those ODEs backward
-with classical RK4, for a whole stack of cost kernels in one march
-(``solve_ab_batch``; ``solve_ab`` is a stack of one), and evaluates the
-closed-form frictionless / risk-neutral prices and both leading-order
-small-cost corrections.
+supply; a supply a0 adds its closed-form shift (``kernel.supply_drag``).
+This module integrates those ODEs backward with classical RK4, for a whole
+stack of cost kernels in one march (``solve_ab_batch``; ``solve_ab`` is a
+stack of one), and evaluates the closed-form frictionless / risk-neutral
+prices and both leading-order small-cost corrections.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CostKernel, log_deriv
+from .kernel import CostKernel, log_deriv, supply_drag
 from .model import AgentBelief, BeliefSet
 from .util import write_csv
 
@@ -95,9 +94,7 @@ class AbSolution:
     evaluation uses cubic Hermite interpolation.  Acts as a price surface:
     exposes value / agent_value / agent_drift with exact affine
     structure (no spatial truncation, x bounds are infinite).  A, B solve the
-    zero-supply system; the supply ``supply_a0`` enters in closed form,
-    v = mean(v_i) + (lam G'/(N G)) a0 with every v_i lowered by
-    gamma a0 (T - t)/N + lam a0 G'/(N G), which raises each drift by gamma a0/N.
+    zero-supply system; ``supply_a0`` adds the shift of ``kernel.supply_drag``.
     """
 
     ts: np.ndarray          # (n+1,)
@@ -151,33 +148,22 @@ class AbSolution:
         kap = np.asarray(self.model.kappas)
         return (kap * self.b_at(t)).mean(axis=-1)
 
-    def _holding_shift(self, t):
-        """Supply term of the aggregate price, -gamma a0 (T - t)/N."""
-        tau = self.kernel.horizon_T - np.asarray(t, dtype=float)
-        return -self.kernel.gamma * self.supply_a0 * tau / self.n_agents
-
     def value(self, t, x):
-        """Aggregate price mean + (x - mean) * Bbar(t) - gamma a0 (T - t)/N."""
-        out = self.model.mean_X + (np.asarray(x, dtype=float) - self.model.mean_X) * self.b_bar(t)
-        if self.supply_a0:
-            out = out + self._holding_shift(t)
-        return out
+        """Aggregate price mean + (x - mean) * Bbar(t) plus the supply drag."""
+        return self.model.mean_X + (np.asarray(x, dtype=float) - self.model.mean_X) \
+            * self.b_bar(t) + supply_drag(self.kernel, self.supply_a0 / self.n_agents, t)
 
     def agent_value(self, i: int, t, x):
-        ab = self.a_at(t)[..., i] + self.b_at(t)[..., i] * np.asarray(x, dtype=float)
-        if self.supply_a0:
-            ab = ab + self._holding_shift(t) \
-                - self.kernel.lam * self.supply_a0 * log_deriv(self.kernel, t) / self.n_agents
-        return ab
+        k, share = self.kernel, self.supply_a0 / self.n_agents
+        return self.a_at(t)[..., i] + self.b_at(t)[..., i] * np.asarray(x, dtype=float) \
+            + supply_drag(k, share, t) - k.lam * share * log_deriv(k, t)
 
     def agent_drift(self, i: int, t, x):
         """mu_i = L^i v: time slope of the price plus agent i's advection."""
         x = np.asarray(x, dtype=float)
         m = self.model.mean_X
-        out = (x - m) * self.b_bar_deriv(t) + self.model.kappas[i] * (m - x) * self.b_bar(t)
-        if self.supply_a0:
-            out = out + self.kernel.gamma * self.supply_a0 / self.n_agents
-        return out
+        return (x - m) * self.b_bar_deriv(t) + self.model.kappas[i] * (m - x) * self.b_bar(t) \
+            + self.kernel.gamma * self.supply_a0 / self.n_agents
 
 
 # RK4 steps allowed per solve; a batch of S kernels holds 4 (n_steps + 1) S N doubles

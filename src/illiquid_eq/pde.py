@@ -32,7 +32,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .kernel import log_deriv
+from .kernel import log_deriv, supply_drag
 from .model import BeliefSet, MarketSpec
 from .util import FLOAT_FORMAT, write_csv
 
@@ -358,7 +358,7 @@ class EquilibriumSolution(GridSurface):
     """Discrete solution of the coupled equilibrium system.
 
     ``vi`` holds the per-agent value surfaces; ``v`` the aggregate price,
-    which satisfies v = mean(vi) + (lam G'/(N G)) a0 exactly at every node.
+    which satisfies v = mean(vi) + (lam G'/(N G)) a0 at every node up to roundoff.
     """
 
     vi: np.ndarray       # (N, nt, nx)
@@ -420,43 +420,41 @@ class EquilibriumSolution(GridSurface):
                         + ["dv_dx"], [self.v, *self.vi, self.dv_dx])
 
 
-def _require_match(spec: MarketSpec, beliefs: BeliefSet) -> None:
+def _setup(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D, rows: int):
+    """(ts, xs, terminal) of a solve: the grid's times and nodes, ``rows`` copies of the payoff."""
     if beliefs.n_agents != spec.n_agents:
         raise ValueError("belief set and allocations disagree on the number of agents")
+    xs = grid.xs
+    return grid.ts(spec.horizon_T), xs, np.tile(np.asarray(spec.payoff(xs), float), (rows, 1))
 
 
 def solve_equilibrium(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> EquilibriumSolution:
     """Solve the coupled backward system for all agents plus the aggregate.
 
     d_t v_i + 0.5 sigma_i^2 d_xx v_i + b_i d_x v_i + (G'/G)(v_i - v) = 0 with
-    v = mean(v_i) + (lam G'/(N G)) a0 and terminal payoff f.
+    v = mean(v_i) + (lam G'/(N G)) a0 and terminal payoff f: the zero-supply
+    system, marched, plus the supply's closed-form shift (``kernel.supply_drag``).
     """
-    _require_match(spec, beliefs)
-    kern = spec.kernel
     n = beliefs.n_agents
-    ts = grid.ts(spec.horizon_T)
-    xs = grid.xs
-    terminal = np.tile(np.asarray(spec.payoff(xs), dtype=float), (n, 1))
-    a0 = spec.supply_a0
+    ts, xs, terminal = _setup(spec, beliefs, grid, n)
+    kern, share = spec.kernel, spec.supply_a0 / n
     c_ts = log_deriv(kern, ts)
-    vi = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], terminal, coupling=c_ts,
-                source=-(kern.lam * log_deriv(kern, _midpoints(ts)) ** 2 / n) * a0)
-    v = vi.mean(axis=0) + (kern.lam / n) * c_ts[:, None] * a0
+    vi = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], terminal, coupling=c_ts)
+    drag = supply_drag(kern, share, ts)[:, None]
+    v = vi.mean(axis=0) + drag
+    vi += drag - kern.lam * share * c_ts[:, None]
     return EquilibriumSolution(ts=ts, xs=xs, v=v, vi=vi, spec=spec, beliefs=beliefs)
 
 
 def solve_frictionless(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> GridSurface:
     """Representative-agent price: d_t v + 0.5 sbar^2 d_xx v + bbar d_x v = gamma a0 / N.
 
-    Averaged coefficients, terminal payoff f; lambda plays no role here.
+    Averaged coefficients, terminal payoff f, no lambda; the supply adds ``kernel.supply_drag``.
     """
-    _require_match(spec, beliefs)
-    ts = grid.ts(spec.horizon_T)
-    xs = grid.xs
-    terminal = np.asarray(spec.payoff(xs), dtype=float)[None, :]
-    g = spec.kernel.gamma * spec.supply_a0 / beliefs.n_agents
+    ts, xs, terminal = _setup(spec, beliefs, grid, 1)
     v = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
-               terminal, source=np.full(len(ts) - 1, -g))[0]
+               terminal)[0]
+    v += supply_drag(spec.kernel, spec.supply_a0 / beliefs.n_agents, ts)[:, None]
     return GridSurface(ts=ts, xs=xs, v=v)
 
 
@@ -465,11 +463,7 @@ def solve_risk_neutral(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D):
 
     Returns (aggregate GridSurface, list of per-agent GridSurfaces).
     """
-    _require_match(spec, beliefs)
-    n = beliefs.n_agents
-    ts = grid.ts(spec.horizon_T)
-    xs = grid.xs
-    terminal = np.tile(np.asarray(spec.payoff(xs), dtype=float), (n, 1))
+    ts, xs, terminal = _setup(spec, beliefs, grid, beliefs.n_agents)
     vi = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], terminal)
     agg = GridSurface(ts=ts, xs=xs, v=vi.mean(axis=0))
     return agg, [GridSurface(ts=ts, xs=xs, v=v) for v in vi]

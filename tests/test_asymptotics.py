@@ -93,7 +93,7 @@ def _whole_array_tc(spec, beliefs, grid, refine, time_axis):
     source = np.zeros_like(v0.v)
     for agent in beliefs.agents:
         b_i, s2_i = coeff(agent.drift), coeff(agent.vol) ** 2
-        li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx + gamma * spec.supply_a0 / n
+        li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx
         phi_hat = li_v0 / gamma
         pt = np.gradient(phi_hat, time_axis, axis=0, edge_order=2)
         px = np.gradient(phi_hat, h, axis=1, edge_order=2)

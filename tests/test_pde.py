@@ -11,7 +11,8 @@ import pytest
 
 import illiquid_eq
 from illiquid_eq import pde
-from illiquid_eq.kernel import CostKernel, log_deriv
+from illiquid_eq.asymptotics import tc_correction
+from illiquid_eq.kernel import CostKernel, log_deriv, supply_drag
 from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec, constant_beliefs
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
 import scipy.linalg
@@ -194,6 +195,38 @@ class TestSolveFrictionless:
     def test_calibrated_point(self, fx_spec, fx_beliefs, fx_grid, fx_model):
         sol = solve_frictionless(fx_spec, fx_beliefs, fx_grid)
         assert sol.value(0.0, 1.0) == pytest.approx(1.2054567370567755, abs=2e-5)
+
+
+def _state_dependent_beliefs():
+    """Two agents whose drift and vol vary with t and x, so no ODE reduction applies."""
+    return BeliefSet(agents=(
+        AgentBelief(drift=lambda t, x: 0.8 * (1.0 - np.asarray(x, dtype=float)) + 0.05 * np.sin(t),
+                    vol=lambda t, x: 0.3 + 0.05 * np.tanh(np.asarray(x, dtype=float))),
+        AgentBelief(drift=lambda t, x: 0.2 * (1.0 - np.asarray(x, dtype=float)),
+                    vol=lambda t, x: 0.25 + 0.02 * np.cos(np.asarray(x, dtype=float) + t))),
+        parabolicity_floor=0.05)
+
+
+# moderate costs, and stiff ones (a T = 31.6), where a marched supply source
+# carried a time error of 5e-5
+@pytest.mark.parametrize("gamma, lam", [(0.05, 0.2), (1.0, 1e-3)])
+def test_supply_enters_as_closed_form_shift(gamma, lam):
+    kern = CostKernel(gamma, lam, 1.0)
+    beliefs = _state_dependent_beliefs()
+    payoff = lambda x: np.tanh(np.asarray(x, dtype=float))
+    grid = Grid1D(-1.0, 3.0, 41, 81)
+    specs = [MarketSpec(kern, a0, (a0 + 1.0, -1.0), payoff) for a0 in (0.0, 1.0)]
+    T = grid.ts(1.0)[:, None]
+    drag = supply_drag(kern, 0.5, T)
+    assert np.max(np.abs(drag + gamma * 0.5 * (1.0 - T))) <= 1e-15
+    base, supplied = (solve_equilibrium(spec, beliefs, grid) for spec in specs)
+    assert np.max(np.abs(supplied.v - base.v - drag)) <= 1e-13
+    shift_i = drag - lam * 0.5 * log_deriv(kern, T)
+    assert np.max(np.abs(supplied.vi - base.vi - shift_i)) <= 1e-13
+    base, supplied = (solve_frictionless(spec, beliefs, grid) for spec in specs)
+    assert np.max(np.abs(supplied.v - base.v - drag)) <= 1e-13
+    base, supplied = (tc_correction(spec, beliefs, grid, refine=2) for spec in specs)
+    assert np.max(np.abs(supplied.v - base.v)) <= 1e-12 * np.max(np.abs(base.v))
 
 
 class TestSolveRiskNeutral:
