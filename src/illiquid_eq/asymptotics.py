@@ -5,12 +5,12 @@ independent of any closed form.  The small-trading-cost correction divides
 by sqrt(trading cost) and needs a fourth-order derivative chain of the
 frictionless price, which is manufactured on a refined grid by repeated
 central differencing with a single 3-point smoothing pass.  The time
-derivative takes the uniform grid's step, (fts[-1] - fts[0]) / (nt - 1), so
-it reads only a level's neighbours, and the chain runs over blocks of
-BLOCK_LEVELS fine time levels, each with a one-level halo: besides the
-frictionless price only the smoothed source is held as a whole fine-grid
-array, and the result is bit for bit that of the whole-array chain.  The
-small-holding-cost correction uses only the risk-neutral value surfaces.
+derivative takes the uniform grid's step (``pde._step``), so it reads only a
+level's neighbours, and the chain runs over blocks of BLOCK_LEVELS fine time
+levels, each with a one-level halo: besides the frictionless price only the
+smoothed source is held as a whole fine-grid array, and the result is bit
+for bit that of the whole-array chain.  The small-holding-cost correction
+uses only the risk-neutral value surfaces.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .kernel import supply_drag
 from .model import BeliefSet, MarketSpec
 from .pde import (BLOCK_LEVELS, Grid1D, GridSurface, _coeff_grid, _interp2, _march, _midpoints,
-                  solve_frictionless, solve_risk_neutral)
+                  _step, solve_frictionless, solve_risk_neutral)
 
 __all__ = ["CorrectionSurface", "SmoothnessError", "tc_correction", "hc_correction"]
 
@@ -48,6 +48,15 @@ def _halo(lo: int, hi: int, nt: int) -> tuple:
     return max(0, min(lo - 1, nt - 3)), min(nt, max(hi + 1, 3))
 
 
+def _constant_payoff(v: np.ndarray) -> bool:
+    """Whether the payoff, the last time level of surface ``v``, is constant on the grid.
+
+    Then every correction source is exactly zero: the marched surfaces vary by
+    roundoff alone, which the derivatives and 1/lam would amplify.
+    """
+    return not np.ptp(v[-1])
+
+
 def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.ndarray:
     """Smoothed source of the trading-cost correction on the fine grid.
 
@@ -58,12 +67,14 @@ def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.
     value.  Roughness is what the filter removes inside and, at the unfiltered
     edge columns, the distance from the linear extrapolation of their two
     smoothed inner neighbours, so a period-2 ripple cannot hide at the edges.
+    A constant payoff gives the zero source without a roughness judgement.
     """
+    if _constant_payoff(v0):
+        return np.zeros_like(v0)
     gamma = spec.kernel.gamma
     n = beliefs.n_agents
     nt = len(fts)
-    h = fxs[1] - fxs[0]
-    dt = (fts[-1] - fts[0]) / (nt - 1)
+    h, dt = _step(fxs), _step(fts)
     smoothed = np.empty_like(v0)
     scale = rough = 0.0
     for lo in range(0, nt, BLOCK_LEVELS):
@@ -139,6 +150,8 @@ def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Correct
     # every surface at every step midpoint, (N + 1, nt - 1, nx)
     at_mids = _interp2(ts, xs, np.stack([v0.v] + [vi.v for vi in vis]), mids[:, None], xs)
     source = ((T - mids) / lam)[:, None, None] * (at_mids[0] - at_mids[1:]).transpose(1, 0, 2)
+    if _constant_payoff(v0.v):
+        source[:] = 0.0
     w = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], np.zeros((n, len(xs))),
                source=source)
     drag = supply_drag(spec.kernel, spec.supply_a0 / n, ts) / spec.kernel.gamma

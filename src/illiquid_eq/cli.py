@@ -307,7 +307,9 @@ def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
                               "ok": res.max_residual <= 3.0, "exit_frac": si.exit_frac}
         # perturbation: optimal beats perturbed within Monte Carlo resolution
         dirs = portfolio.bump_directions(bi.ts, 5, seed=num["seed"] + 200 + i)
-        scale = float(np.sqrt(np.mean(si.positions[i] ** 2)))
+        # bumps on the scale of the positions; unit scale when the agent never
+        # holds any, where a zero scale would compare the strategy with itself
+        scale = float(np.sqrt(np.mean(si.positions[i] ** 2))) or 1.0
         base = portfolio.objective(i, bi, si, surface)
         worst = np.inf
         for d in range(dirs.shape[0]):

@@ -104,6 +104,11 @@ def default_grid(beliefs: BeliefSet) -> Grid1D:
     return Grid1D(m.mean_X - half, m.mean_X + half, GRID_NX, GRID_NT)
 
 
+def _step(a) -> float:
+    """The step of the uniform grid ``a``, which every difference quotient and cell on it takes."""
+    return (a[-1] - a[0]) / (len(a) - 1)
+
+
 def _cell(ts, xs, tq, xq):
     """(it, wt, ix, wx): the bilinear cell and weights of each query on a uniform grid.
 
@@ -113,8 +118,7 @@ def _cell(ts, xs, tq, xq):
     """
     tq = np.asarray(tq, dtype=float)
     xq = np.asarray(xq, dtype=float)
-    dt = ts[1] - ts[0]
-    h = xs[1] - xs[0]
+    dt, h = _step(ts), _step(xs)
     # clamped before the cast; fmax takes a NaN time to cell 0, where its weight stays NaN
     it = np.fmin(np.fmax((tq - ts[0]) / dt, 0.0), len(ts) - 2).astype(int)
     wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0)
@@ -171,7 +175,7 @@ def _bands(xs, coeffs, ts) -> np.ndarray:
     difference.  Raises on degenerate vol, naming the latest such time, the
     first that the backward march reaches.
     """
-    h = xs[1] - xs[0]
+    h = _step(xs)
     L = np.zeros((3, len(ts), len(coeffs), len(xs)))
     lo, di, up = L
     sound = np.ones(len(ts), dtype=bool)
@@ -332,8 +336,8 @@ class GridSurface:
 
     @cached_property
     def dv_dx(self) -> np.ndarray:
-        """Spatial slope grid, (nt, nx), with the grid's step (xs[-1] - xs[0]) / (nx - 1)."""
-        return _dv_dx(self.v, (self.xs[-1] - self.xs[0]) / (len(self.xs) - 1))
+        """Spatial slope grid, (nt, nx)."""
+        return _dv_dx(self.v, _step(self.xs))
 
     @property
     def x_bounds(self):
@@ -380,12 +384,12 @@ class EquilibriumSolution(GridSurface):
     @cached_property
     def dv_dt(self) -> np.ndarray:
         """Time slope grid of the price, (nt, nx)."""
-        return np.gradient(self.v, self.ts, axis=0)
+        return np.gradient(self.v, _step(self.ts), axis=0)
 
     @cached_property
     def dv_dxx(self) -> np.ndarray:
         """Curvature grid of the price, (nt, nx); edge columns copy their neighbours."""
-        h = self.xs[1] - self.xs[0]
+        h = _step(self.xs)
         g = np.empty_like(self.v)
         g[:, 1:-1] = (self.v[:, 2:] - 2 * self.v[:, 1:-1] + self.v[:, :-2]) / h**2
         g[:, 0] = g[:, 1]

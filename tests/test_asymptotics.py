@@ -82,7 +82,7 @@ def _whole_array_tc(spec, beliefs, grid, refine, time_axis):
     n = beliefs.n_agents
     v0 = solve_frictionless(spec, beliefs, grid.refined(refine))
     fts, fxs = v0.ts, v0.xs
-    h = fxs[1] - fxs[0]
+    h = (fxs[-1] - fxs[0]) / (len(fxs) - 1)
 
     def coeff(fn):
         return np.stack([np.asarray(fn(t, fxs), dtype=float) for t in fts])
@@ -182,6 +182,21 @@ def test_period_two_payoff_ripple_is_smoothness_error(eps, rough, fx_kernel):
         with pytest.raises(SmoothnessError, match="grid-scale oscillation"):
             tc_correction(spec, beliefs, grid)
     else:
+        tc_correction(spec, beliefs, grid)
+
+
+def test_nearly_constant_payoff_is_judged(fx_kernel):
+    # only a payoff constant on the grid skips the roughness rule: a period-2
+    # ripple of 1e-9 on a constant is grid-scale oscillation all the same
+    grid = Grid1D(0.53, 1.97, 21, 201)
+    fine = grid.refined(4)
+
+    def payoff(x):
+        j = np.rint((np.asarray(x, dtype=float) - fine.x_min) / fine.h)
+        return 7.0 + 1e-9 * (-1.0) ** j
+
+    _, beliefs, spec = _market(2, fx_kernel, payoff=payoff)
+    with pytest.raises(SmoothnessError, match="grid-scale oscillation"):
         tc_correction(spec, beliefs, grid)
 
 

@@ -81,6 +81,17 @@ def test_positive_supply_clears(config, tmp_path):
     assert report["checks"]["clearing_residual"]["value"] <= 1e-6
 
 
+def test_perturbation_gate_bites_when_nobody_trades(config, tmp_path):
+    # identical beliefs and zero allocations: every position stays zero, so
+    # the bumps need a scale of their own to move the strategy at all
+    code, report = _verify(config, tmp_path, "--set", "model.beliefs.kappas=[0.5, 0.5]",
+                           "--set", "model.allocations=[0.0, 0.0]",
+                           "--set", "numerics.mc={paths: 500, steps: 100}")
+    gaps = [node["worst_gap_plus_3se"]
+            for node in report["checks"]["objective_perturbation"].values()]
+    assert code == 0 and len(gaps) == 2 and all(gap > 0.0 for gap in gaps)
+
+
 def test_odd_step_count_is_input_error(config, tmp_path, capsys):
     code, _ = _verify(config, tmp_path, *CONSTANT, "--set", "numerics.mc={paths: 50, steps: 101}")
     assert code == 2
@@ -232,6 +243,17 @@ def test_asymptotics_writes_no_sweeps_for_other_payoffs(config, tmp_path):
     assert main(["asymptotics", "--config", str(config), "--out", str(out), *SMALL,
                  "--set", f"model.payoff={PAYOFFS['polynomial']}"]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["hc_correction.csv", "tc_correction.csv"]
+
+
+def test_constant_payoff_has_zero_corrections(config, tmp_path):
+    # the prices of a constant payoff vary along x by roundoff alone, which is
+    # neither roughness nor disagreement: both corrections are exactly zero
+    out = tmp_path / "out"
+    assert main(["asymptotics", "--config", str(config), "--out", str(out), *SMALL,
+                 "--set", f"model.payoff={PAYOFFS['constant']}"]) == 0
+    for name in ("tc_correction.csv", "hc_correction.csv"):
+        table = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert len(table) == 41 * 61 and not table[:, 2:].any()
 
 
 @pytest.mark.parametrize("override", [

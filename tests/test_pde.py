@@ -291,9 +291,12 @@ class TestDerivativeGrids:
         assert np.array_equal(sol.dv_dx, _dv_dx(sol.v, grid.h))
 
     def test_time_slope_and_curvature(self, fx_sol):
-        _, sol = fx_sol
-        assert np.array_equal(sol.dv_dt, np.gradient(sol.v, sol.ts, axis=0))
-        h = sol.xs[1] - sol.xs[0]
+        grid, sol = fx_sol
+        # numpy would weight these unevenly spaced levels non-uniformly
+        assert np.ptp(np.diff(sol.ts)) > 0
+        dt = sol.ts[-1] / (grid.nt - 1)
+        assert np.array_equal(sol.dv_dt, np.gradient(sol.v, dt, axis=0))
+        h = grid.h
         g = np.empty_like(sol.v)
         g[:, 1:-1] = (sol.v[:, 2:] - 2 * sol.v[:, 1:-1] + sol.v[:, :-2]) / h**2
         g[:, 0] = g[:, 1]
@@ -313,7 +316,8 @@ class TestDerivativeGrids:
 
 def _dense_operator(xs, drift, vol, t):
     """L = 0.5 sigma^2 d_xx + b d_x with the zero-curvature edge rows, dense."""
-    nx, h = len(xs), xs[1] - xs[0]
+    nx = len(xs)
+    h = (xs[-1] - xs[0]) / (nx - 1)
     b, s2 = drift(t, xs), vol(t, xs) ** 2
     L = np.zeros((nx, nx))
     for j in range(1, nx - 1):
@@ -386,7 +390,7 @@ def _per_level_march(ts, xs, coeffs, terminal, c, mid_source):
     storage of ``scipy.linalg.solve_banded((N, N))``, unknown j*N + i for
     agent i at node j."""
     n, nx = len(coeffs), len(xs)
-    h = xs[1] - xs[0]
+    h = (xs[-1] - xs[0]) / (nx - 1)
 
     def bands(t):
         L = np.zeros((3, n, nx))
