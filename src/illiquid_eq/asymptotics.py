@@ -5,12 +5,12 @@ independent of any closed form.  The small-trading-cost correction divides
 by sqrt(trading cost) and needs a fourth-order derivative chain of the
 frictionless price, which is manufactured on a refined grid by repeated
 central differencing with a single 3-point smoothing pass.  The time
-derivative takes the uniform grid's step (``pde._step``), so it reads only a
-level's neighbours, and the chain runs over blocks of BLOCK_LEVELS fine time
-levels, each with a one-level halo: besides the frictionless price only the
-smoothed source is held as a whole fine-grid array, and the result is bit
-for bit that of the whole-array chain.  The small-holding-cost correction
-uses only the risk-neutral value surfaces.
+derivative takes the uniform grid's step, (fts[-1] - fts[0]) / (nt - 1), so
+it reads only a level's neighbours, and the chain runs over blocks of
+BLOCK_LEVELS fine time levels, each with a one-level halo: besides the
+frictionless price only the smoothed source is held as a whole fine-grid
+array, and the result is bit for bit that of the whole-array chain.  The
+small-holding-cost correction uses only the risk-neutral value surfaces.
 """
 
 from __future__ import annotations
