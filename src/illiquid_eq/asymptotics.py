@@ -2,15 +2,16 @@
 
 Both corrections are built from auxiliary inhomogeneous parabolic solves,
 independent of any closed form.  The small-trading-cost correction divides
-by sqrt(trading cost) and needs a fourth-order derivative chain of the
-frictionless price, which is manufactured on a refined grid by repeated
-central differencing with a single 3-point smoothing pass.  The time
-derivative takes the uniform grid's step, (fts[-1] - fts[0]) / (nt - 1), so
-it reads only a level's neighbours, and the chain runs over blocks of
-BLOCK_LEVELS fine time levels, each with a one-level halo: besides the
-frictionless price only the smoothed source is held as a whole fine-grid
-array, and the result is bit for bit that of the whole-array chain.  The
-small-holding-cost correction uses only the risk-neutral value surfaces.
+by sqrt(trading cost).  Its source is sqrt(gamma)/N times the sum over
+agents of the generator d_t + L^i applied to agent i's frictionless
+portfolio phi_i = (L^i - Lbar) v0 / gamma.  These portfolios clear the
+market, sum_i phi_i = 0, because sum_i (L^i - Lbar) = 0, so d_t and Lbar
+cancel from the sum and the source is sum_i (L^i - Lbar)^2 v0 / (N sqrt(gamma)),
+a fourth-order spatial chain of the frictionless price at each time level.
+It is manufactured on a refined grid by repeated central differencing with
+a single 3-point smoothing pass, only at the step midpoints where the march
+reads it, BLOCK_LEVELS of them at a time.  The small-holding-cost
+correction uses only the risk-neutral value surfaces.
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ def _smooth_x(F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _halo(lo: int, hi: int, nt: int) -> tuple:
-    """Levels h0..h1-1 that the time derivative of levels lo..hi-1 reads."""
-    return max(0, min(lo - 1, nt - 3)), min(nt, max(hi + 1, 3))
-
-
 def _constant_payoff(v: np.ndarray) -> bool:
     """Whether the payoff, the last time level of surface ``v``, is constant on the grid.
 
@@ -57,46 +53,47 @@ def _constant_payoff(v: np.ndarray) -> bool:
     return not np.ptp(v[-1])
 
 
-def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.ndarray:
-    """Smoothed source of the trading-cost correction on the fine grid.
+def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, v0: GridSurface, ts) -> np.ndarray:
+    """Smoothed trading-cost source at the midpoints of the steps ``ts``, (len(ts) - 1, nx).
 
-    Built BLOCK_LEVELS time levels at a time, each block with the halo its
-    time derivative needs, so only the frictionless price v0 and the result
-    are whole fine-grid arrays.  The smoothness rule is global: the largest
-    roughness over all blocks is judged against the largest smoothed interior
-    value.  Roughness is what the filter removes inside and, at the unfiltered
-    edge columns, the distance from the linear extrapolation of their two
-    smoothed inner neighbours, so a period-2 ripple cannot hide at the edges.
-    A constant payoff gives the zero source without a roughness judgement.
+    ``v0`` is the frictionless price on a refinement of the grid of ``ts``.
+    The chain runs on its nodes, BLOCK_LEVELS midpoints at a time, and the
+    source is taken on the coarse nodes, so only v0 is a whole fine-grid
+    array.  The smoothness rule is global: the largest roughness over all
+    midpoints and the payoff level T, which is judged but feeds no source, is
+    judged against the largest smoothed interior value.  Roughness is what
+    the filter removes inside and, at the unfiltered edge columns, the
+    distance from the linear extrapolation of their two smoothed inner
+    neighbours, so a period-2 ripple cannot hide at the edges.  A constant
+    payoff gives the zero source without a roughness judgement.
     """
-    if _constant_payoff(v0):
-        return np.zeros_like(v0)
+    fxs = v0.xs
+    refine = (len(v0.ts) - 1) // (len(ts) - 1)
+    levels = np.append(_midpoints(ts), ts[-1])
+    out = np.zeros((len(levels), len(fxs[::refine])))
+    if _constant_payoff(v0.v):
+        return out[:-1]
     gamma = spec.kernel.gamma
     n = beliefs.n_agents
-    nt = len(fts)
-    h, dt = _step(fxs), _step(fts)
-    smoothed = np.empty_like(v0)
+    h = _step(fxs)
     scale = rough = 0.0
-    for lo in range(0, nt, BLOCK_LEVELS):
-        hi = min(lo + BLOCK_LEVELS, nt)
-        h0, h1 = _halo(lo, hi, nt)
-        ts = fts[h0:h1]
-        own = slice(lo - h0, hi - h0)
-        vx = np.gradient(v0[h0:h1], h, axis=1, edge_order=2)
+    for lo in range(0, len(levels), BLOCK_LEVELS):
+        t = levels[lo:lo + BLOCK_LEVELS]
+        v = v0.value(t[:, None], fxs)
+        vx = np.gradient(v, h, axis=1, edge_order=2)
         vxx = np.gradient(vx, h, axis=1, edge_order=2)
-        bs = [_coeff_grid(agent.drift, ts, fxs) for agent in beliefs.agents]
-        s2s = [_coeff_grid(agent.vol, ts, fxs) ** 2 for agent in beliefs.agents]
+        bs = [_coeff_grid(agent.drift, t, fxs) for agent in beliefs.agents]
+        s2s = [_coeff_grid(agent.vol, t, fxs) ** 2 for agent in beliefs.agents]
         # the averages as drift_bar and vol_sq_bar form them
         bbar, s2bar = sum(bs) / n, sum(s2s) / n
-        source = np.zeros((hi - lo, len(fxs)))
+        source = np.zeros_like(v)
         for b_i, s2_i in zip(bs, s2s):
-            # L^i v0 via the frictionless equation: only coefficient differences survive
-            li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx
-            phi_hat = li_v0 / gamma
-            pt = np.gradient(phi_hat, dt, axis=0, edge_order=2)[own]
-            px = np.gradient(phi_hat[own], h, axis=1, edge_order=2)
+            db, ds2 = b_i - bbar, 0.5 * (s2_i - s2bar)
+            # agent i's portfolio phi_i = (L^i - Lbar) v0 / gamma, then (L^i - Lbar) phi_i
+            phi = (db * vx + ds2 * vxx) / gamma
+            px = np.gradient(phi, h, axis=1, edge_order=2)
             pxx = np.gradient(px, h, axis=1, edge_order=2)
-            source += (np.sqrt(gamma) / n) * (pt + b_i[own] * px + 0.5 * s2_i[own] * pxx)
+            source += (np.sqrt(gamma) / n) * (db * px + ds2 * pxx)
         block = _smooth_x(source)
         if not np.all(np.isfinite(block)):
             raise SmoothnessError(
@@ -105,12 +102,12 @@ def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0) -> np.
         edge = source[:, [0, -1]] - 2.0 * block[:, [1, -2]] + block[:, [2, -3]]
         scale = max(scale, float(np.max(np.abs(block[:, 1:-1]))))
         rough = max(rough, float(np.max(np.abs(source - block))), float(np.max(np.abs(edge))))
-        smoothed[lo:hi] = block
+        out[lo:lo + len(t)] = block[:, ::refine]
     if scale > 0 and rough > 0.5 * scale:
         raise SmoothnessError(
             "grid-scale oscillation dominates the expansion source; payoff appears "
             "insufficiently smooth - apply a smoothing filter or refine the grid")
-    return smoothed
+    return out[:-1]
 
 
 def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
@@ -119,18 +116,16 @@ def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
 
     Solves the averaged-generator equation with source equal to the average
     of each agent's subjective drift of their frictionless portfolio
-    feedback: each agent's full space-time generator applied to the
-    feedback function.
+    feedback, (d_t + L^i) phi_i times sqrt(gamma).  The portfolios clear, so
+    the source is sum_i (L^i - Lbar)^2 v0 / (N sqrt(gamma)), a spatial chain of
+    the frictionless price v0, solved on the grid refined ``refine`` times in
+    t and x.
     """
-    fine = grid.refined(refine)
-    fts, fxs = fine.ts(spec.horizon_T), fine.xs
-    smoothed = _expansion_source(spec, beliefs, fts, fxs,
-                                 solve_frictionless(spec, beliefs, fine).v)
-
     ts, xs = grid.ts(spec.horizon_T), grid.xs
+    source = _expansion_source(spec, beliefs,
+                               solve_frictionless(spec, beliefs, grid.refined(refine)), ts)
     w = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
-               np.zeros((1, len(xs))),
-               source=_interp2(fts, fxs, smoothed, _midpoints(ts)[:, None], xs))[0]
+               np.zeros((1, len(xs))), source=source)[0]
     return CorrectionSurface(ts=ts, xs=xs, v=w)
 
 

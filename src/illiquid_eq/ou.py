@@ -19,6 +19,7 @@ import numpy as np
 
 from .kernel import CostKernel, log_deriv, supply_drag
 from .model import AgentBelief, BeliefSet
+from .pde import _step
 from .util import write_csv
 
 __all__ = [
@@ -120,7 +121,7 @@ class AbSolution:
 
     def _hermite(self, Y, dY, tq):
         ts = self.ts
-        h = ts[1] - ts[0]
+        h = _step(ts)
         tq = np.asarray(tq, dtype=float)
         k = np.clip(np.floor((tq - ts[0]) / h).astype(int), 0, len(ts) - 2)
         s = (tq - ts[k]) / h

@@ -49,7 +49,7 @@ __all__ = [
 
 # implicit-Euler steps before Crank-Nicolson, damping the payoff's kinks
 RANNACHER_STEPS = 2
-# time levels whose coefficients a march (and the trading-cost chain) sets up at once
+# time levels whose coefficients a march sets up at once (step midpoints in the trading-cost chain)
 BLOCK_LEVELS = 64
 # default grid: nodes, time levels and half-width in stationary standard deviations
 GRID_NX, GRID_NT, GRID_WIDTHS = 241, 601, 6.0
@@ -82,10 +82,6 @@ class Grid1D:
     @property
     def xs(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
-
-    @property
-    def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.nx - 1)
 
     def ts(self, horizon_T: float) -> np.ndarray:
         return np.linspace(0.0, horizon_T, self.nt)
@@ -144,17 +140,6 @@ def _bilinear(F, it, wt, ix, wx):
 def _interp2(ts, xs, F, tq, xq):
     """Bilinear interpolation of F, indexed (..., t, x), at (tq, xq); see ``_cell``."""
     return _bilinear(F, *_cell(ts, xs, tq, xq))
-
-
-def _dv_dx(v: np.ndarray, h: float) -> np.ndarray:
-    """Spatial slope: central interior, second-order one-sided at edges."""
-    out = np.empty_like(v)
-    # in place: no whole-surface temporary
-    np.subtract(v[..., 2:], v[..., :-2], out=out[..., 1:-1])
-    out[..., 1:-1] /= 2 * h
-    out[..., 0] = (-3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]) / (2 * h)
-    out[..., -1] = (3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]) / (2 * h)
-    return out
 
 
 def _coeff_grid(fn, ts, xs) -> np.ndarray:
@@ -337,7 +322,7 @@ class GridSurface:
     @cached_property
     def dv_dx(self) -> np.ndarray:
         """Spatial slope grid, (nt, nx)."""
-        return _dv_dx(self.v, _step(self.xs))
+        return np.gradient(self.v, _step(self.xs), axis=-1, edge_order=2)
 
     @property
     def x_bounds(self):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .kernel import CostKernel, log_deriv
 from .model import MarketSpec
+from .pde import _step
 from .simulate import SimulationBatch, exit_fraction
 
 __all__ = [
@@ -186,7 +187,7 @@ def bump_directions(ts: np.ndarray, n_directions: int, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     T = ts[-1] - ts[0]
-    dt = ts[1] - ts[0]
+    dt = _step(ts)
     width = T / 10.0
     out = np.empty((n_directions, len(ts)))
     for d in range(n_directions):
@@ -201,7 +202,7 @@ def bump_directions(ts: np.ndarray, n_directions: int, seed: int) -> np.ndarray:
 
 def cumulative_positions(ts: np.ndarray, rate_rows: np.ndarray) -> np.ndarray:
     """Euler cumulative integral of a rate perturbation, zero at t = 0."""
-    dt = ts[1] - ts[0]
+    dt = _step(ts)
     theta = np.concatenate([np.zeros(rate_rows.shape[:-1] + (1,)),
                             np.cumsum(rate_rows[..., :-1], axis=-1) * dt], axis=-1)
     return theta

@@ -22,6 +22,7 @@ import numpy as np
 
 from .kernel import CostKernel, ratio
 from .model import BeliefSet
+from .pde import _step
 
 __all__ = ["SimulationBatch", "DomainExitError", "MAX_EXIT_FRACTION", "exit_fraction",
            "simulate", "feynman_kac_vi"]
@@ -69,7 +70,7 @@ class SimulationBatch:
 
     @property
     def dt(self) -> float:
-        return float(self.ts[1] - self.ts[0])
+        return float(_step(self.ts))
 
 
 def _path_normals(seed: int, npaths: int, nsteps: int) -> np.ndarray:
@@ -106,7 +107,7 @@ def simulate(beliefs: BeliefSet, measure: Union[int, str], x0: float, t0: float,
         raise ValueError("t_end must exceed t0")
     agent_index, drift, vol = _measure_coeffs(beliefs, measure)
     ts = np.linspace(t0, t_end, nt + 1)
-    dt = ts[1] - ts[0]
+    dt = _step(ts)
     Z = _path_normals(seed, npaths, nt)
     X = np.empty((npaths, nt + 1))
     X[:, 0] = x0

@@ -10,7 +10,7 @@ from illiquid_eq.asymptotics import SmoothnessError, hc_correction, tc_correctio
 from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec
 from illiquid_eq.ou import (OuModel, hc_correction_closed, ou_beliefs,
                             tc_correction_closed)
-from illiquid_eq.pde import Grid1D, _interp2, _march, solve_frictionless
+from illiquid_eq.pde import Grid1D, _interp2, _march, _step, solve_frictionless
 
 from conftest import GAMMA, HORIZON, LAM, MEAN_X, SIGMA
 
@@ -66,23 +66,60 @@ def _curved(x):
     return x + 0.5 * (x - MEAN_X) ** 2
 
 
-def _uniform_step(grid, refine):
-    """The fine grid's time step, as ``_expansion_source`` takes it."""
-    fts = grid.refined(refine).ts(HORIZON)
-    return (fts[-1] - fts[0]) / (len(fts) - 1)
+def _averaged_march(beliefs, grid, horizon, source):
+    """The trading-cost correction w: the averaged generator's march from w(T) = 0."""
+    ts, xs = grid.ts(horizon), grid.xs
+    return _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
+                  np.zeros((1, len(xs))), source=source)[0]
 
 
-def _whole_array_tc(spec, beliefs, grid, refine, time_axis):
-    """The trading-cost correction with its source built as whole fine-grid arrays.
+def _smoothed(source):
+    out = source.copy()
+    out[:, 1:-1] = 0.25 * source[:, :-2] + 0.5 * source[:, 1:-1] + 0.25 * source[:, 2:]
+    return out
 
-    ``time_axis`` is what the time derivative's ``np.gradient`` is given:
-    the uniform step, or the fine time levels themselves.
+
+def _whole_array_tc(spec, beliefs, grid, refine):
+    """The trading-cost correction with its source built as whole arrays over all step midpoints.
+
+    The source is sum_i (L^i - Lbar)^2 v0 / (N sqrt(gamma)), as ``tc_correction`` forms it.
+    """
+    gamma = spec.kernel.gamma
+    n = beliefs.n_agents
+    v0 = solve_frictionless(spec, beliefs, grid.refined(refine))
+    ts, fxs = grid.ts(spec.horizon_T), v0.xs
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    h = (fxs[-1] - fxs[0]) / (len(fxs) - 1)
+
+    def coeff(fn):
+        return np.stack([np.asarray(fn(t, fxs), dtype=float) for t in mids])
+
+    v = v0.value(mids[:, None], fxs)
+    vx = np.gradient(v, h, axis=1, edge_order=2)
+    vxx = np.gradient(vx, h, axis=1, edge_order=2)
+    bbar, s2bar = coeff(beliefs.drift_bar), coeff(beliefs.vol_sq_bar)
+    source = np.zeros_like(v)
+    for agent in beliefs.agents:
+        db, ds2 = coeff(agent.drift) - bbar, 0.5 * (coeff(agent.vol) ** 2 - s2bar)
+        phi = (db * vx + ds2 * vxx) / gamma
+        px = np.gradient(phi, h, axis=1, edge_order=2)
+        pxx = np.gradient(px, h, axis=1, edge_order=2)
+        source += (np.sqrt(gamma) / n) * (db * px + ds2 * pxx)
+    return _averaged_march(beliefs, grid, spec.horizon_T, _smoothed(source)[:, ::refine])
+
+
+def _full_generator_tc(spec, beliefs, grid, refine):
+    """The trading-cost correction from the full generators, the reference for the identity.
+
+    The source is sqrt(gamma)/N sum_i (d_t + L^i) phi_i, phi_i = (L^i - Lbar) v0 / gamma:
+    the full generators, time derivative included, on every level of the
+    fine grid; the smoothed source is interpolated to the step midpoints.
     """
     gamma = spec.kernel.gamma
     n = beliefs.n_agents
     v0 = solve_frictionless(spec, beliefs, grid.refined(refine))
     fts, fxs = v0.ts, v0.xs
-    h = (fxs[-1] - fxs[0]) / (len(fxs) - 1)
+    h, dt = (fxs[-1] - fxs[0]) / (len(fxs) - 1), (fts[-1] - fts[0]) / (len(fts) - 1)
 
     def coeff(fn):
         return np.stack([np.asarray(fn(t, fxs), dtype=float) for t in fts])
@@ -93,24 +130,19 @@ def _whole_array_tc(spec, beliefs, grid, refine, time_axis):
     source = np.zeros_like(v0.v)
     for agent in beliefs.agents:
         b_i, s2_i = coeff(agent.drift), coeff(agent.vol) ** 2
-        li_v0 = (b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx
-        phi_hat = li_v0 / gamma
-        pt = np.gradient(phi_hat, time_axis, axis=0, edge_order=2)
-        px = np.gradient(phi_hat, h, axis=1, edge_order=2)
+        phi = ((b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx) / gamma
+        pt = np.gradient(phi, dt, axis=0, edge_order=2)
+        px = np.gradient(phi, h, axis=1, edge_order=2)
         pxx = np.gradient(px, h, axis=1, edge_order=2)
         source += (np.sqrt(gamma) / n) * (pt + b_i * px + 0.5 * s2_i * pxx)
-    smoothed = source.copy()
-    smoothed[:, 1:-1] = 0.25 * source[:, :-2] + 0.5 * source[:, 1:-1] + 0.25 * source[:, 2:]
-    ts, xs = grid.ts(spec.horizon_T), grid.xs
-    return _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
-                  np.zeros((1, len(xs))),
-                  source=np.stack([_interp2(fts, fxs, smoothed, np.full_like(xs, t), xs)
-                                   for t in 0.5 * (ts[:-1] + ts[1:])]))[0]
+    ts = grid.ts(spec.horizon_T)
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    return _averaged_march(beliefs, grid, spec.horizon_T,
+                           _interp2(fts, fxs, _smoothed(source), mids[:, None], grid.xs))
 
 
-# nt = 66 refines to 131 or 261 fine levels, unevenly spaced in floating point,
-# so numpy weights a gradient taken against the levels non-uniformly; nt = 9
-# refines to evenly spaced levels, where both weightings are the uniform one
+# nt = 66 has 65 step midpoints, which with the payoff level make two blocks
+# of BLOCK_LEVELS = 64; nt = 9 has one block
 @pytest.mark.parametrize("nt", [66, 9])
 @pytest.mark.parametrize("refine", [2, 4])
 @pytest.mark.parametrize("a0", [0.0, 1.0])
@@ -119,11 +151,38 @@ def test_blocked_chain_matches_whole_array(n, a0, refine, nt, fx_kernel):
     _, beliefs, spec = _market(n, fx_kernel, a0, payoff=_curved)
     grid = Grid1D(0.53, 1.97, 21, nt)
     tc = tc_correction(spec, beliefs, grid, refine=refine)
-    assert np.array_equal(tc.v, _whole_array_tc(spec, beliefs, grid, refine,
-                                                _uniform_step(grid, refine)))
-    # the chain weighted by the fine time levels differs only by roundoff
-    levels = _whole_array_tc(spec, beliefs, grid, refine, grid.refined(refine).ts(HORIZON))
-    assert np.max(np.abs(tc.v - levels)) <= 1e-12 * np.max(np.abs(levels))
+    assert np.array_equal(tc.v, _whole_array_tc(spec, beliefs, grid, refine))
+
+
+def _drifting_beliefs():
+    """Two agents whose coefficients vary in t and x; not OU."""
+    def drift0(t, x):
+        return 0.8 * (1.0 + 0.2 * np.sin(t)) * (MEAN_X - x) + 0.05 * np.sin(3.0 * x)
+
+    def drift1(t, x):
+        return 0.3 * (MEAN_X - x) + 0.02 * t * x
+
+    def vol0(t, x):
+        return SIGMA * (1.0 + 0.2 * (x - MEAN_X))
+
+    def vol1(t, x):
+        return SIGMA * (1.0 + 0.05 * t * np.cos(x))
+
+    return BeliefSet(agents=(AgentBelief(drift0, vol0), AgentBelief(drift1, vol1)),
+                     parabolicity_floor=0.5 * SIGMA**2)
+
+
+@pytest.mark.parametrize("refine", [2, 4])
+def test_source_is_the_full_generator_chain(refine, fx_kernel):
+    # the frictionless portfolios clear, so d_t and Lbar drop out of the
+    # averaged source: dropping them changes the correction by roundoff only
+    _, _, spec = _market(2, fx_kernel, payoff=_curved)
+    beliefs = _drifting_beliefs()
+    grid = Grid1D(0.53, 1.97, 121, 301)
+    tc = tc_correction(spec, beliefs, grid, refine=refine)
+    full = _full_generator_tc(spec, beliefs, grid, refine)
+    assert np.max(np.abs(full)) > 0
+    assert np.max(np.abs(tc.v - full)) <= 1e-9 * np.max(np.abs(full))
 
 
 def test_chain_holds_few_fine_grid_arrays(fx_kernel):
@@ -174,7 +233,7 @@ def test_period_two_payoff_ripple_is_smoothness_error(eps, rough, fx_kernel):
     fine = grid.refined(4)
 
     def payoff(x):
-        j = np.rint((np.asarray(x, dtype=float) - fine.x_min) / fine.h)
+        j = np.rint((np.asarray(x, dtype=float) - fine.x_min) / _step(fine.xs))
         return _identity(x) + eps * (-1.0) ** j
 
     _, beliefs, spec = _market(2, fx_kernel, payoff=payoff)
@@ -192,7 +251,7 @@ def test_nearly_constant_payoff_is_judged(fx_kernel):
     fine = grid.refined(4)
 
     def payoff(x):
-        j = np.rint((np.asarray(x, dtype=float) - fine.x_min) / fine.h)
+        j = np.rint((np.asarray(x, dtype=float) - fine.x_min) / _step(fine.xs))
         return 7.0 + 1e-9 * (-1.0) ** j
 
     _, beliefs, spec = _market(2, fx_kernel, payoff=payoff)
@@ -203,10 +262,11 @@ def test_nearly_constant_payoff_is_judged(fx_kernel):
 @pytest.mark.parametrize("amplitude, rough", [(0.15, False), (1.0, True)])
 def test_roughness_in_one_block_is_judged_against_global_scale(amplitude, rough, fx_kernel,
                                                                 monkeypatch):
-    # agent 1's drift ripples on fine levels 96..100, inside the block of levels
-    # 64..127.  At amplitude 0.15 the ripple exceeds half of that block's own
-    # largest smoothed value but not half of the largest over the whole grid,
-    # which sits at the horizon, so the rule passes; at 1.0 it dominates both.
+    # agent 1's drift ripples on fine levels 96..100, at the step midpoints
+    # 48 and 49, inside the first block of midpoints 0..63.  At amplitude 0.15
+    # the ripple exceeds half of that block's own largest smoothed value but
+    # not half of the largest over the whole grid, which sits at the horizon,
+    # so the rule passes; at 1.0 it dominates both.
     grid = Grid1D(0.53, 1.97, 21, 201)
     fine = grid.refined(2)
     t0, t1 = fine.ts(HORIZON)[[96, 100]]
@@ -225,5 +285,4 @@ def test_roughness_in_one_block_is_judged_against_global_scale(amplitude, rough,
                 tc_correction(spec, beliefs, grid, refine=2)
         else:
             tc = tc_correction(spec, beliefs, grid, refine=2)
-            assert np.array_equal(tc.v, _whole_array_tc(spec, beliefs, grid, 2,
-                                                        _uniform_step(grid, 2)))
+            assert np.array_equal(tc.v, _whole_array_tc(spec, beliefs, grid, 2))

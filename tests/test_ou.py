@@ -219,6 +219,23 @@ class TestSupply:
             solve_ab(fx_model, fx_kernel, 200, supply_a0=-1.0)
 
 
+class TestDualRoles:
+    # at zero supply holding and trading costs play dual roles: the prices
+    # depend on gamma and lambda only through a = sqrt(gamma / lambda), so
+    # scaling both costs of configs/ou_fx.yaml alike changes no price bit
+    @pytest.mark.parametrize("scale", [3.7, 10.0, 0.25])
+    def test_prices_depend_on_costs_only_through_rate_a(self, scale, fx_model, fx_kernel,
+                                                        fx_spec, fx_beliefs):
+        scaled = CostKernel(scale * fx_kernel.gamma, scale * fx_kernel.lam, fx_kernel.horizon_T)
+        assert scaled.rate_a == fx_kernel.rate_a
+        base, other = solve_ab_batch(fx_model, [fx_kernel, scaled], n_steps=3000)
+        assert np.array_equal(other.A, base.A) and np.array_equal(other.B, base.B)
+        grid = Grid1D(0.53, 1.97, 241, 601)
+        vi = [solve_equilibrium(dataclasses.replace(fx_spec, kernel=k), fx_beliefs, grid).vi
+              for k in (fx_kernel, scaled)]
+        assert np.array_equal(vi[1], vi[0])
+
+
 class TestClosedForms:
     def test_frictionless_trivials(self, fx_model):
         assert frictionless_price(fx_model, 3.0, 0.9) == pytest.approx(0.9, rel=1e-14)

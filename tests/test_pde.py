@@ -17,7 +17,7 @@ from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec, constant_belie
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
 import scipy.linalg
 
-from illiquid_eq.pde import (BLOCK_LEVELS, DegenerateVolatilityError, Grid1D, _dv_dx, _interp2,
+from illiquid_eq.pde import (BLOCK_LEVELS, DegenerateVolatilityError, Grid1D, _interp2, _step,
                              _level_solver, _march, default_grid, solve_equilibrium,
                              solve_frictionless, solve_risk_neutral)
 from illiquid_eq.simulate import feynman_kac_vi, simulate
@@ -281,14 +281,15 @@ class TestExportAndCache:
 class TestDerivativeGrids:
     @pytest.fixture(scope="class")
     def fx_sol(self, fx_spec, fx_beliefs):
-        # the configs/ou_fx.yaml grid: its linspace spacings differ from grid.h by an ulp
+        # the configs/ou_fx.yaml grid: its linspace spacings differ from its step by an ulp
         grid = Grid1D(0.53, 1.97, 241, 601)
         return grid, solve_equilibrium(fx_spec, fx_beliefs, grid)
 
     def test_slope_uses_the_grid_step(self, fx_sol):
-        grid, sol = fx_sol
-        assert sol.xs[1] - sol.xs[0] != grid.h
-        assert np.array_equal(sol.dv_dx, _dv_dx(sol.v, grid.h))
+        _, sol = fx_sol
+        h = _step(sol.xs)
+        assert sol.xs[1] - sol.xs[0] != h
+        assert np.array_equal(sol.dv_dx, np.gradient(sol.v, h, axis=-1, edge_order=2))
 
     def test_time_slope_and_curvature(self, fx_sol):
         grid, sol = fx_sol
@@ -296,7 +297,7 @@ class TestDerivativeGrids:
         assert np.ptp(np.diff(sol.ts)) > 0
         dt = sol.ts[-1] / (grid.nt - 1)
         assert np.array_equal(sol.dv_dt, np.gradient(sol.v, dt, axis=0))
-        h = grid.h
+        h = _step(grid.xs)
         g = np.empty_like(sol.v)
         g[:, 1:-1] = (sol.v[:, 2:] - 2 * sol.v[:, 1:-1] + sol.v[:, :-2]) / h**2
         g[:, 0] = g[:, 1]
