@@ -95,16 +95,20 @@ class RunConfig:
 
 
 def _payoff_from(cfg: dict):
-    """(payoff callable, payoff type) of the model section."""
+    """(payoff callable, payoff type) of the model section; a coefficient or value must be finite."""
     spec = cfg.get("payoff", {"type": "identity"})
     kind = spec.get("type", "identity")
     if kind == "identity":
         return lambda x: np.asarray(x, dtype=float) + 0.0, kind
     if kind == "constant":
         c = float(spec.get("value", 0.0))
+        if not np.isfinite(c):
+            raise ConfigError(f"model.payoff.value must be finite, got {c}")
         return lambda x: np.full_like(np.asarray(x, dtype=float), c), kind
     if kind == "polynomial":
         coeffs = [float(c) for c in spec.get("coeffs", [0.0, 1.0])]
+        if not coeffs or not np.all(np.isfinite(coeffs)):
+            raise ConfigError(f"model.payoff.coeffs must be finite and not empty, got {coeffs}")
         return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs), kind
     raise ConfigError(f"unknown payoff type {kind!r}")
 
@@ -113,8 +117,8 @@ def _build(cfg: RunConfig):
     """(spec, beliefs, grid, numerics, payoff type) of a config.
 
     The one place that reads the model and numerics sections: a missing key
-    or a value of the wrong type raises ConfigError, as does a market that
-    fails ``validate``.
+    or a value of the wrong type raises ConfigError, as does an input that
+    its constructor rejects or a market that fails ``validate``.
     """
     try:
         return _read(cfg)

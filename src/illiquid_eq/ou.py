@@ -54,10 +54,12 @@ class OuModel:
     def __post_init__(self):
         if len(self.kappas) < 1:
             raise ValueError("need at least one agent")
-        if any(k <= 0 for k in self.kappas):
-            raise ValueError("all mean-reversion speeds must be positive")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not all(0.0 < k < np.inf for k in self.kappas):
+            raise ValueError(f"kappas must be finite and positive, got {list(self.kappas)}")
+        if not np.isfinite(self.mean_X):
+            raise ValueError(f"mean must be finite, got {self.mean_X}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not self.horizon_T > 0:
             raise ValueError("horizon_T must be positive")
 
@@ -84,7 +86,7 @@ def ou_beliefs(model: OuModel) -> BeliefSet:
         )
         for k in model.kappas
     )
-    return BeliefSet(agents=agents, parabolicity_floor=model.sigma**2, ou=model)
+    return BeliefSet(agents=agents, ou=model)
 
 
 @dataclass

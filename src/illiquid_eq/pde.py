@@ -414,7 +414,11 @@ def _setup(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D, rows: int):
     if beliefs.n_agents != spec.n_agents:
         raise ValueError("belief set and allocations disagree on the number of agents")
     xs = grid.xs
-    return grid.ts(spec.horizon_T), xs, np.tile(np.asarray(spec.payoff(xs), float), (rows, 1))
+    with np.errstate(all="ignore"):   # an overflow is reported by the error below alone
+        payoff = np.asarray(spec.payoff(xs), float)
+    if not np.isfinite(payoff).all():
+        raise ValueError("payoff is not finite at every grid node")
+    return grid.ts(spec.horizon_T), xs, np.tile(payoff, (rows, 1))
 
 
 def solve_equilibrium(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> EquilibriumSolution:

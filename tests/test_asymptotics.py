@@ -168,8 +168,7 @@ def _drifting_beliefs():
     def vol1(t, x):
         return SIGMA * (1.0 + 0.05 * t * np.cos(x))
 
-    return BeliefSet(agents=(AgentBelief(drift0, vol0), AgentBelief(drift1, vol1)),
-                     parabolicity_floor=0.5 * SIGMA**2)
+    return BeliefSet(agents=(AgentBelief(drift0, vol0), AgentBelief(drift1, vol1)))
 
 
 @pytest.mark.parametrize("refine", [2, 4])
@@ -276,8 +275,7 @@ def test_roughness_in_one_block_is_judged_against_global_scale(amplitude, rough,
     def rippled(t, x):
         return drift(t, x) + amplitude * (t0 <= t <= t1) * _ripple(fine, x)
 
-    beliefs = BeliefSet(agents=(AgentBelief(rippled, ou.agents[0].vol), ou.agents[1]),
-                        parabolicity_floor=ou.parabolicity_floor)
+    beliefs = BeliefSet(agents=(AgentBelief(rippled, ou.agents[0].vol), ou.agents[1]))
     for levels in (asymptotics.BLOCK_LEVELS, 1):
         monkeypatch.setattr(asymptotics, "BLOCK_LEVELS", levels)
         if rough:

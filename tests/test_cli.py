@@ -285,6 +285,30 @@ def test_malformed_config_is_input_error(config, tmp_path, capsys, override):
     assert not (tmp_path / "out" / "verify_report.json").exists()
 
 
+@pytest.mark.parametrize("override, name", [
+    ("model.payoff={type: polynomial, coeffs: []}", "model.payoff.coeffs"),
+    ("model.payoff={type: polynomial, coeffs: [0, 1e308, 1e308]}", "payoff is not finite"),
+    ("model.payoff={type: constant, value: .inf}", "model.payoff.value"),
+    ("model.beliefs.mean=.inf", "mean must be finite"),
+    ("model.beliefs.kappas=[.inf, 0.2875]", "kappas must be finite"),
+    ("model.beliefs={type: constant, drifts: [.inf, 0], vols: [0.1, 0.1]}", "drifts must be finite"),
+    ("model.beliefs={type: constant, drifts: [0, 0], vols: [0, 0.1]}", "vols must be finite and positive"),
+    ("model.beliefs={type: constant, drifts: [0, 0], vols: [-0.5, 0.1]}",
+     "vols must be finite and positive"),
+    ("model.allocations=[1.0, 1.0]", "allocations [1.0, 1.0] must sum to the supply"),
+])
+def test_each_input_is_checked_where_it_enters(config, tmp_path, capsys, override, name):
+    # no numpy warning may come before the message: an overflowing payoff is reported once
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["pde-solve", "--config", str(config), "--out", str(out), "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and name in err and "Traceback" not in err
+    assert not any(out.glob("*"))
+
+
 def test_infinite_grid_bound_blames_the_grid(config, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -140,8 +140,7 @@ class TestSolveEquilibrium:
             agents=constant_beliefs([0.0, 0.0], [0.3, 0.3]).agents[:1] + (
                 AgentBelief(
                     drift=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-                    vol=lambda t, x: np.zeros_like(np.asarray(x, dtype=float))),),
-            parabolicity_floor=1e-4)
+                    vol=lambda t, x: np.zeros_like(np.asarray(x, dtype=float))),))
         spec = MarketSpec(kernel=CostKernel(1e-3, 1e-3, 3.0), supply_a0=0.0,
                           allocations=(1.0, -1.0),
                           payoff=lambda x: np.asarray(x, dtype=float) + 0.0)
@@ -203,8 +202,7 @@ def _state_dependent_beliefs():
         AgentBelief(drift=lambda t, x: 0.8 * (1.0 - np.asarray(x, dtype=float)) + 0.05 * np.sin(t),
                     vol=lambda t, x: 0.3 + 0.05 * np.tanh(np.asarray(x, dtype=float))),
         AgentBelief(drift=lambda t, x: 0.2 * (1.0 - np.asarray(x, dtype=float)),
-                    vol=lambda t, x: 0.25 + 0.02 * np.cos(np.asarray(x, dtype=float) + t))),
-        parabolicity_floor=0.05)
+                    vol=lambda t, x: 0.25 + 0.02 * np.cos(np.asarray(x, dtype=float) + t))))
 
 
 # moderate costs, and stiff ones (a T = 31.6), where a marched supply source

@@ -15,8 +15,7 @@ def _untagged_ou(kappa=0.8625, mean=1.25, sigma=0.128):
     return BeliefSet(
         agents=(AgentBelief(
             drift=lambda t, x: kappa * (mean - np.asarray(x, dtype=float)),
-            vol=lambda t, x: sigma * np.ones_like(np.asarray(x, dtype=float))),),
-        parabolicity_floor=sigma**2)
+            vol=lambda t, x: sigma * np.ones_like(np.asarray(x, dtype=float))),))
 
 
 def _no_noise(monkeypatch):
