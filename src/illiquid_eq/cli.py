@@ -2,10 +2,11 @@
 
 One declarative YAML (or JSON) config with three sections drives every
 command; ``--set section.key=value`` overrides individual keys.  The config
-is read in one place, ``_build``: a missing key, a value of the wrong type
-or an invalid market is a ``ConfigError``.  Each command is one entry of
-``COMMANDS``.  Exit codes: 0 success, 1 verification failure, 2 input error
-(every ``ValueError``, with a message and no traceback).
+is read in one place, ``_build``: a missing or unknown key at any level, a
+value of the wrong type or an invalid market is a ``ConfigError``.  Each
+command is one entry of ``COMMANDS``.  Exit codes: 0 success, 1
+verification failure, 2 input error (every ``ValueError``, with a message
+and no traceback).
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ _SECTION_KEYS = {
     "numerics": {"grid", "ode_steps", "mc", "seed", "x_eval", "refine"},
     "output": {"directory"},
 }
+# the keys of the beliefs and of the payoff mappings, by type
+_BELIEF_KEYS = {"ou": {"kappas", "mean", "sigma"}, "constant": {"drifts", "vols"}}
+_PAYOFF_KEYS = {"identity": set(), "constant": {"value"}, "polynomial": {"coeffs"}}
 
 
 class ConfigError(ValueError):
@@ -94,10 +98,29 @@ class RunConfig:
                 raise ConfigError(f"--set {dotted}: cannot parse {value!r}: {exc}")
 
 
+def _mapping(value, where: str, keys) -> dict:
+    """``value``, which must be a mapping with no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    return value
+
+
+def _typed(value, where: str, keys: dict, default=None) -> str:
+    """The ``type`` of the mapping ``value``, whose other keys must be that type's in ``keys``."""
+    kind = _mapping(value, where, {"type"}.union(*keys.values())).get("type", default)
+    if kind not in keys:
+        raise ConfigError(f"unknown {where} type {kind!r}")
+    _mapping(value, f"{where} of type {kind!r}", keys[kind] | {"type"})
+    return kind
+
+
 def _payoff_from(cfg: dict):
     """(payoff callable, payoff type) of the model section; a coefficient or value must be finite."""
     spec = cfg.get("payoff", {"type": "identity"})
-    kind = spec.get("type", "identity")
+    kind = _typed(spec, "model.payoff", _PAYOFF_KEYS, default="identity")
     if kind == "identity":
         return lambda x: np.asarray(x, dtype=float) + 0.0, kind
     if kind == "constant":
@@ -105,20 +128,18 @@ def _payoff_from(cfg: dict):
         if not np.isfinite(c):
             raise ConfigError(f"model.payoff.value must be finite, got {c}")
         return lambda x: np.full_like(np.asarray(x, dtype=float), c), kind
-    if kind == "polynomial":
-        coeffs = [float(c) for c in spec.get("coeffs", [0.0, 1.0])]
-        if not coeffs or not np.all(np.isfinite(coeffs)):
-            raise ConfigError(f"model.payoff.coeffs must be finite and not empty, got {coeffs}")
-        return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs), kind
-    raise ConfigError(f"unknown payoff type {kind!r}")
+    coeffs = [float(c) for c in spec.get("coeffs", [0.0, 1.0])]
+    if not coeffs or not np.all(np.isfinite(coeffs)):
+        raise ConfigError(f"model.payoff.coeffs must be finite and not empty, got {coeffs}")
+    return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs), kind
 
 
 def _build(cfg: RunConfig):
     """(spec, beliefs, grid, numerics, payoff type) of a config.
 
-    The one place that reads the model and numerics sections: a missing key
-    or a value of the wrong type raises ConfigError, as does an input that
-    its constructor rejects or a market that fails ``validate``.
+    The one place that reads the model and numerics sections: a missing or
+    unknown key or a value of the wrong type raises ConfigError, as does an
+    input that its constructor rejects or a market that fails ``validate``.
     """
     try:
         return _read(cfg)
@@ -131,21 +152,18 @@ def _build(cfg: RunConfig):
 def _read(cfg: RunConfig):
     m = cfg.model
     horizon = float(m["horizon"])
-    costs = m["costs"]
+    costs = _mapping(m["costs"], "model.costs", {"gamma", "lambda"})
     kernel = CostKernel(gamma=float(costs["gamma"]), lam=float(costs["lambda"]),
                         horizon_T=horizon)
 
     bel = m["beliefs"]
-    btype = bel.get("type")
-    if btype == "ou":
+    if _typed(bel, "model.beliefs", _BELIEF_KEYS) == "ou":
         beliefs = oumod.ou_beliefs(oumod.OuModel(
             kappas=tuple(float(k) for k in bel["kappas"]), mean_X=float(bel["mean"]),
             sigma=float(bel["sigma"]), horizon_T=horizon))
-    elif btype == "constant":
+    else:
         beliefs = constant_beliefs([float(b) for b in bel["drifts"]],
                                    [float(s) for s in bel["vols"]])
-    else:
-        raise ConfigError(f"unknown beliefs type {btype!r}")
 
     payoff, payoff_type = _payoff_from(m)
     supply = float(m.get("supply", 0.0))
@@ -157,7 +175,7 @@ def _read(cfg: RunConfig):
                       payoff=payoff)
 
     n = cfg.numerics
-    gcfg = n.get("grid")
+    gcfg = _mapping(n.get("grid", {}), "numerics.grid", {"x_min", "x_max", "nx", "nt"})
     if gcfg:
         grid = pde.Grid1D(x_min=float(gcfg["x_min"]), x_max=float(gcfg["x_max"]),
                           nx=_integer(gcfg, "nx", pde.GRID_NX, "numerics.grid"),
@@ -171,7 +189,7 @@ def _read(cfg: RunConfig):
     if not report.ok:
         raise ConfigError(f"invalid model: {report}")
 
-    mc = n.get("mc", {}) or {}
+    mc = _mapping(n.get("mc", {}), "numerics.mc", {"paths", "steps"})
     num = {
         "ode_steps": _integer(n, "ode_steps", 3000, "numerics"),
         "seed": _integer(n, "seed", 3, "numerics"),

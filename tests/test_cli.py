@@ -309,6 +309,30 @@ def test_each_input_is_checked_where_it_enters(config, tmp_path, capsys, overrid
     assert not any(out.glob("*"))
 
 
+@pytest.mark.parametrize("command, override, message", [
+    ("simulate", "numerics.mc={paths: 50, step: 10}", "unknown key(s) ['step'] in numerics.mc"),
+    ("pde-solve", "numerics.grid={x_min: 0.5, x_max: 2.0, NX: 11, nt: 5}",
+     "unknown key(s) ['NX'] in numerics.grid"),
+    ("ou-solve", "model.costs={gamma: 1e-8, lambda: 1e-7, lamda: 5}",
+     "unknown key(s) ['lamda'] in model.costs"),
+    ("ou-solve", "model.beliefs.sigmaa=0.1", "unknown key(s) ['sigmaa'] in model.beliefs"),
+    ("pde-solve", "model.beliefs.vols=[0.1, 0.1]",
+     "unknown key(s) ['vols'] in model.beliefs of type 'ou'"),
+    ("pde-solve", "model.payoff.valeu=3", "unknown key(s) ['valeu'] in model.payoff"),
+    ("pde-solve", "model.payoff={type: constant, value: 7.0, coeffs: [1]}",
+     "unknown key(s) ['coeffs'] in model.payoff of type 'constant'"),
+    ("simulate", "numerics.mc=[50, 10]", "numerics.mc must be a mapping"),
+    ("pde-solve", "numerics.grid=0", "numerics.grid must be a mapping"),
+    ("ou-solve", "model.payoff=identity", "model.payoff must be a mapping"),
+])
+def test_nested_key_typos_are_input_errors(config, tmp_path, capsys, command, override, message):
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config), "--out", str(out), "--set", override])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
 def test_infinite_grid_bound_blames_the_grid(config, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -420,3 +444,4 @@ def test_calibrate_rejects_nonpositive_max_lag(tmp_path, capsys, max_lag):
     assert code == 2
     err = capsys.readouterr().err
     assert "max_lag must be at least 1" in err and "Traceback" not in err
+
