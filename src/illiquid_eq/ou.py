@@ -287,16 +287,16 @@ def hc_correction_closed(model: OuModel, lam: float, t, x):
     """Leading-order price correction per unit holding cost, closed form.
 
     Requires pairwise distinct speeds (the formula divides by kappa_i -
-    kappa_j); with repeated speeds use the integral-representation solver in
-    the asymptotics module instead.  The bracket is nonpositive, so the
-    correction has the opposite sign of x - mean.
+    kappa_j); with repeated speeds use ``asymptotics.hc_correction``, the
+    PDE march, instead.  The bracket is nonpositive, so the correction has
+    the opposite sign of x - mean.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
     if not model.kappas_distinct:
         raise ValueError(
-            "repeated mean-reversion speeds: closed form is singular; use the "
-            "integral-representation correction in the asymptotics module")
+            "repeated mean-reversion speeds: closed form is singular; use "
+            "asymptotics.hc_correction, the PDE march")
     t = np.asarray(t, dtype=float)
     tau = model.horizon_T - t
     kap = np.asarray(model.kappas)

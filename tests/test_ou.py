@@ -308,7 +308,7 @@ class TestClosedForms:
 
     def test_hc_correction_rejects_repeated_speeds(self):
         twin = OuModel(kappas=(0.5, 0.5), mean_X=1.25, sigma=0.1, horizon_T=3.0)
-        with pytest.raises(ValueError, match="integral-representation"):
+        with pytest.raises(ValueError, match=r"asymptotics\.hc_correction, the PDE march"):
             hc_correction_closed(twin, 1e-7, 0.0, 1.0)
 
 
