@@ -445,3 +445,14 @@ def test_calibrate_rejects_nonpositive_max_lag(tmp_path, capsys, max_lag):
     err = capsys.readouterr().err
     assert "max_lag must be at least 1" in err and "Traceback" not in err
 
+
+def test_calibrate_pins_the_packaged_series(tmp_path):
+    out = tmp_path / "out"
+    assert main(["calibrate", "--out", str(out)]) == 0
+    fit = json.loads((out / "calibration.json").read_text())
+    assert fit["kappa_bar"] == pytest.approx(0.566683352303388, rel=1e-9)
+    assert fit["mean_X"] == pytest.approx(1.261321563814867, rel=1e-9)
+    assert fit["sigma"] == pytest.approx(0.1277471434840594, rel=1e-9)
+    diagnostics = fit["diagnostics"]
+    assert (diagnostics["lags_used"], diagnostics["n_dropped"], diagnostics["n_observations"]) \
+        == (60, 16, 2852)
