@@ -65,15 +65,9 @@ class RunConfig:
         unknown = set(raw) - set(_SECTION_KEYS)
         if unknown:
             raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
-        sections = {}
-        for name, allowed in _SECTION_KEYS.items():
-            sec = raw.get(name, {}) or {}
-            if not isinstance(sec, dict):
-                raise ConfigError(f"{path}: section '{name}' must be a mapping")
-            bad = set(sec) - allowed
-            if bad:
-                raise ConfigError(f"{path}: unknown key(s) {sorted(bad)} in section '{name}'")
-            sections[name] = dict(sec)
+        sections = {
+            name: dict(_mapping(raw.get(name, {}) or {}, f"section '{name}' of {path}", keys))
+            for name, keys in _SECTION_KEYS.items()}
         return cls(model=sections["model"], numerics=sections["numerics"],
                    output=sections["output"])
 
@@ -118,7 +112,7 @@ def _typed(value, where: str, keys: dict, default=None) -> str:
 
 
 def _payoff_from(cfg: dict):
-    """(payoff callable, payoff type) of the model section; a coefficient or value must be finite."""
+    """(payoff callable, payoff type) of the model section; its numbers must be finite."""
     spec = cfg.get("payoff", {"type": "identity"})
     kind = _typed(spec, "model.payoff", _PAYOFF_KEYS, default="identity")
     if kind == "identity":
