@@ -2,9 +2,10 @@
 
 Coefficient functions are plain callables (t, x) -> array, called with a
 scalar time t and a state x, scalar or array, and returning a result of x's
-shape (a float for a scalar x); the PDE solvers make one call per time level
-with the grid's nodes as x.  A belief set built by ``ou.ou_beliefs`` carries
-its ``OuModel``, which path sampling and default grid sizing use for exact formulas; the PDE solver ignores it.
+shape (a float for a scalar x); the PDE solvers and a grid surface's drift
+grids make one call per time level with the grid's nodes as x.  A belief set
+built by ``ou.ou_beliefs`` carries its ``OuModel``, which path sampling and
+default grid sizing use for exact formulas; the PDE solver ignores it.
 Each input is checked once, where it enters.  Global boundedness of the
 coefficients is the caller's responsibility, since the flagship
 mean-reversion example is itself unbounded.
@@ -53,12 +54,6 @@ class BeliefSet:
     @property
     def n_agents(self) -> int:
         return len(self.agents)
-
-    def drift(self, i: int, t, x):
-        return self.agents[i].drift(t, x)
-
-    def vol(self, i: int, t, x):
-        return self.agents[i].vol(t, x)
 
     def drift_bar(self, t, x):
         """Arithmetic average of the agents' drifts."""

@@ -15,9 +15,10 @@ the first solve loads directly: importing scipy.linalg for them would cost
 every process, solving or not, about 0.3 s of imports.  The domain is
 truncated with zero second spatial derivative (linear extrapolation) at both
 edges, which is exact for affine solutions.  A surface stores what its
-solver computed; its derivative grids are computed on first read, and its
-agent drift calls the belief callables once per distinct time, as model.py's
-(scalar t, array x) contract allows.
+solver computed; its slope and agent drift grids are computed on first read,
+the drifts with one call of each belief per time level, as the march makes.
+Every value, agent value and agent drift is then one bilinear read of a node
+grid.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def _step(a) -> float:
     return (a[-1] - a[0]) / (len(a) - 1)
 
 
-def _cell(ts, xs, tq, xq):
-    """(it, wt, ix, wx): the bilinear cell and weights of each query on a uniform grid.
+def _interp2(ts, xs, F, tq, xq):
+    """Bilinear interpolation of F, indexed (..., t, x), at (tq, xq) on a uniform grid.
 
     Clamps in t, infinite times included; extrapolates linearly in x beyond
     the edges, consistent with the zero-curvature boundary condition.  Needs
@@ -120,11 +121,6 @@ def _cell(ts, xs, tq, xq):
     wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0)
     ix = np.clip(((xq - xs[0]) / h).astype(int), 0, len(xs) - 2)
     wx = (xq - xs[ix]) / h  # outside [0,1] beyond the edges -> linear extrapolation
-    return it, wt, ix, wx
-
-
-def _bilinear(F, it, wt, ix, wx):
-    """F indexed (..., t, x) at the cells and weights from ``_cell``."""
     # (1 - wt) ((1 - wx) f00 + wx f01) + wt ((1 - wx) f10 + wx f11), in place
     # where it can be: four corner arrays are never held at once
     v = (1 - wx) * F[..., it, ix]
@@ -135,11 +131,6 @@ def _bilinear(F, it, wt, ix, wx):
     upper *= wt
     v += upper
     return v
-
-
-def _interp2(ts, xs, F, tq, xq):
-    """Bilinear interpolation of F, indexed (..., t, x), at (tq, xq); see ``_cell``."""
-    return _bilinear(F, *_cell(ts, xs, tq, xq))
 
 
 def _coeff_grid(fn, ts, xs) -> np.ndarray:
@@ -367,41 +358,26 @@ class EquilibriumSolution(GridSurface):
         return _interp2(self.ts, self.xs, self.vi[i], t, x)
 
     @cached_property
-    def dv_dt(self) -> np.ndarray:
-        """Time slope grid of the price, (nt, nx)."""
-        return np.gradient(self.v, _step(self.ts), axis=0)
+    def drift_grids(self) -> np.ndarray:
+        """mu_i = L^i v = d_t v + b_i d_x v + 0.5 sigma_i^2 d_xx v on the nodes, (N, nt, nx).
 
-    @cached_property
-    def dv_dxx(self) -> np.ndarray:
-        """Curvature grid of the price, (nt, nx); edge columns copy their neighbours."""
-        h = _step(self.xs)
-        g = np.empty_like(self.v)
-        g[:, 1:-1] = (self.v[:, 2:] - 2 * self.v[:, 1:-1] + self.v[:, :-2]) / h**2
-        g[:, 0] = g[:, 1]
-        g[:, -1] = g[:, -2]
-        return g
+        Each belief is called once per time level with the grid's nodes, as
+        the march calls it; the curvature's edge columns copy their neighbours.
+        """
+        ts, xs, v = self.ts, self.xs, self.v
+        dv_dt = np.gradient(v, _step(ts), axis=0)
+        dv_dxx = np.empty_like(v)
+        dv_dxx[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / _step(xs) ** 2
+        dv_dxx[:, 0] = dv_dxx[:, 1]
+        dv_dxx[:, -1] = dv_dxx[:, -2]
+        mu = np.empty_like(self.vi)
+        for i, a in enumerate(self.beliefs.agents):
+            mu[i] = dv_dt + _coeff_grid(a.drift, ts, xs) * self.dv_dx
+            mu[i] += 0.5 * _coeff_grid(a.vol, ts, xs) ** 2 * dv_dxx
+        return mu
 
     def agent_drift(self, i: int, t, x):
-        """mu_i = L^i v from the differenced grids, one bilinear cell per point.
-
-        Agent i's drift and vol are called once per distinct time with every
-        state at that time, as model.py's (scalar t, array x) contract allows.
-        Commands pass a scalar t (one call of each); an array t, one call per
-        distinct value, serves the library's scalar/array input rule.
-        """
-        cell = _cell(self.ts, self.xs, t, x)
-        dv_dt, dv_dx, dv_dxx = (_bilinear(g, *cell) for g in (self.dv_dt, self.dv_dx, self.dv_dxx))
-        if np.ndim(t) == 0:
-            t, x = float(t), np.asarray(x, dtype=float)
-            b, s = self.beliefs.drift(i, t, x), self.beliefs.vol(i, t, x)
-        else:
-            tb, xb = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-            b, s = np.full(tb.shape, np.nan), np.full(tb.shape, np.nan)  # NaN times stay NaN
-            for tk in np.unique(tb):
-                at = tb == tk
-                b[at] = self.beliefs.drift(i, float(tk), xb[at])
-                s[at] = self.beliefs.vol(i, float(tk), xb[at])
-        return dv_dt + b * dv_dx + 0.5 * s * s * dv_dxx
+        return _interp2(self.ts, self.xs, self.drift_grids[i], t, x)
 
     def to_csv(self, path) -> None:
         """One row per (t, x) node: t, x, v, v1..vN, dv_dx."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from illiquid_eq.kernel import CostKernel
-from illiquid_eq.model import MarketSpec
+from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
 from illiquid_eq.pde import Grid1D
 
@@ -60,3 +60,25 @@ def small_grid():
 def interior_mask(xs, half_width=3.0):
     sd = SIGMA / np.sqrt(2.0 * 0.575)
     return (xs >= MEAN_X - half_width * sd) & (xs <= MEAN_X + half_width * sd)
+
+
+def curved(x):
+    x = np.asarray(x, dtype=float)
+    return x + 0.5 * (x - MEAN_X) ** 2
+
+
+def drifting_beliefs():
+    """Two agents whose coefficients vary in t and x; not OU."""
+    def drift0(t, x):
+        return 0.8 * (1.0 + 0.2 * np.sin(t)) * (MEAN_X - x) + 0.05 * np.sin(3.0 * x)
+
+    def drift1(t, x):
+        return 0.3 * (MEAN_X - x) + 0.02 * t * x
+
+    def vol0(t, x):
+        return SIGMA * (1.0 + 0.2 * (x - MEAN_X))
+
+    def vol1(t, x):
+        return SIGMA * (1.0 + 0.05 * t * np.cos(x))
+
+    return BeliefSet(agents=(AgentBelief(drift0, vol0), AgentBelief(drift1, vol1)))

@@ -12,7 +12,7 @@ from illiquid_eq.ou import (OuModel, hc_correction_closed, ou_beliefs,
                             tc_correction_closed)
 from illiquid_eq.pde import Grid1D, _interp2, _march, _step, solve_frictionless
 
-from conftest import GAMMA, HORIZON, LAM, MEAN_X, SIGMA
+from conftest import GAMMA, HORIZON, LAM, MEAN_X, SIGMA, curved, drifting_beliefs
 
 MARKETS = {2: ((0.8625, 0.2875), (1.0, -1.0)),
            3: ((0.8625, 0.2875, 0.5), (1.0, -1.0, 0.0))}
@@ -59,11 +59,6 @@ def test_supply_shifts_holding_correction(n, fx_kernel):
     supplied = hc_correction(supplied_spec, beliefs, grid)
     expect = -(HORIZON - base.ts)[:, None] / n * np.ones_like(base.xs)
     assert np.max(np.abs(supplied.v - base.v - expect)) <= 1e-12 * np.max(np.abs(base.v))
-
-
-def _curved(x):
-    x = np.asarray(x, dtype=float)
-    return x + 0.5 * (x - MEAN_X) ** 2
 
 
 def _averaged_march(beliefs, grid, horizon, source):
@@ -148,35 +143,18 @@ def _full_generator_tc(spec, beliefs, grid, refine):
 @pytest.mark.parametrize("a0", [0.0, 1.0])
 @pytest.mark.parametrize("n", [2, 3])
 def test_blocked_chain_matches_whole_array(n, a0, refine, nt, fx_kernel):
-    _, beliefs, spec = _market(n, fx_kernel, a0, payoff=_curved)
+    _, beliefs, spec = _market(n, fx_kernel, a0, payoff=curved)
     grid = Grid1D(0.53, 1.97, 21, nt)
     tc = tc_correction(spec, beliefs, grid, refine=refine)
     assert np.array_equal(tc.v, _whole_array_tc(spec, beliefs, grid, refine))
-
-
-def _drifting_beliefs():
-    """Two agents whose coefficients vary in t and x; not OU."""
-    def drift0(t, x):
-        return 0.8 * (1.0 + 0.2 * np.sin(t)) * (MEAN_X - x) + 0.05 * np.sin(3.0 * x)
-
-    def drift1(t, x):
-        return 0.3 * (MEAN_X - x) + 0.02 * t * x
-
-    def vol0(t, x):
-        return SIGMA * (1.0 + 0.2 * (x - MEAN_X))
-
-    def vol1(t, x):
-        return SIGMA * (1.0 + 0.05 * t * np.cos(x))
-
-    return BeliefSet(agents=(AgentBelief(drift0, vol0), AgentBelief(drift1, vol1)))
 
 
 @pytest.mark.parametrize("refine", [2, 4])
 def test_source_is_the_full_generator_chain(refine, fx_kernel):
     # the frictionless portfolios clear, so d_t and Lbar drop out of the
     # averaged source: dropping them changes the correction by roundoff only
-    _, _, spec = _market(2, fx_kernel, payoff=_curved)
-    beliefs = _drifting_beliefs()
+    _, _, spec = _market(2, fx_kernel, payoff=curved)
+    beliefs = drifting_beliefs()
     grid = Grid1D(0.53, 1.97, 121, 301)
     tc = tc_correction(spec, beliefs, grid, refine=refine)
     full = _full_generator_tc(spec, beliefs, grid, refine)
@@ -186,7 +164,7 @@ def test_source_is_the_full_generator_chain(refine, fx_kernel):
 
 def test_chain_holds_few_fine_grid_arrays(fx_kernel):
     # 801 fine levels: the whole-array chain held about 17 fine-grid arrays at once
-    _, beliefs, spec = _market(2, fx_kernel, payoff=_curved)
+    _, beliefs, spec = _market(2, fx_kernel, payoff=curved)
     grid = Grid1D(0.53, 1.97, 21, 201)
     fine = grid.refined(4)
     tracemalloc.start()

@@ -22,7 +22,7 @@ from illiquid_eq.pde import (BLOCK_LEVELS, DegenerateVolatilityError, Grid1D, _i
                              solve_frictionless, solve_risk_neutral)
 from illiquid_eq.simulate import feynman_kac_vi, simulate
 
-from conftest import interior_mask
+from conftest import HORIZON, curved, drifting_beliefs, interior_mask
 
 
 def _const_spec(drifts, vols, allocations, a0, payoff, gamma=1e-3, lam=1e-2, T=1.0):
@@ -293,14 +293,12 @@ class TestDerivativeGrids:
         grid, sol = fx_sol
         # numpy would weight these unevenly spaced levels non-uniformly
         assert np.ptp(np.diff(sol.ts)) > 0
-        dt = sol.ts[-1] / (grid.nt - 1)
-        assert np.array_equal(sol.dv_dt, np.gradient(sol.v, dt, axis=0))
-        h = _step(grid.xs)
-        g = np.empty_like(sol.v)
-        g[:, 1:-1] = (sol.v[:, 2:] - 2 * sol.v[:, 1:-1] + sol.v[:, :-2]) / h**2
-        g[:, 0] = g[:, 1]
-        g[:, -1] = g[:, -2]
-        assert np.array_equal(sol.dv_dxx, g)
+        dv_dt, dv_dxx = _time_slope_and_curvature(sol)
+        assert np.array_equal(dv_dt, np.gradient(sol.v, sol.ts[-1] / (grid.nt - 1), axis=0))
+        for i, a in enumerate(sol.beliefs.agents):
+            b = np.stack([a.drift(t, sol.xs) for t in sol.ts])
+            s2 = np.stack([a.vol(t, sol.xs) for t in sol.ts]) ** 2
+            assert np.array_equal(sol.drift_grids[i], dv_dt + b * sol.dv_dx + 0.5 * s2 * dv_dxx)
 
     def test_grids_are_computed_on_first_read(self, fx_spec, fx_beliefs, small_grid):
         surf = solve_frictionless(fx_spec, fx_beliefs, small_grid)
@@ -308,9 +306,20 @@ class TestDerivativeGrids:
         slope = surf.dv_dx
         assert vars(surf)["dv_dx"] is slope
         sol = solve_equilibrium(fx_spec, fx_beliefs, small_grid)
-        assert not {"dv_dx", "dv_dt", "dv_dxx"} & set(vars(sol))
+        assert not {"dv_dx", "drift_grids"} & set(vars(sol))
         sol.agent_drift(0, 1.0, 1.2)
-        assert {"dv_dx", "dv_dt", "dv_dxx"} <= set(vars(sol))
+        assert {"dv_dx", "drift_grids"} <= set(vars(sol))
+
+
+def _time_slope_and_curvature(sol):
+    """d_t v and d_xx v on the nodes, the curvature's edge columns copying their neighbours."""
+    dv_dt = np.gradient(sol.v, _step(sol.ts), axis=0)
+    h = _step(sol.xs)
+    g = np.empty_like(sol.v)
+    g[:, 1:-1] = (sol.v[:, 2:] - 2 * sol.v[:, 1:-1] + sol.v[:, :-2]) / h**2
+    g[:, 0] = g[:, 1]
+    g[:, -1] = g[:, -2]
+    return dv_dt, g
 
 
 def _dense_operator(xs, drift, vol, t):
@@ -505,29 +514,53 @@ def _counted(beliefs):
 
 
 def _per_point_drift(sol, i, t, x):
-    """The reference: one belief call per point, each grid interpolated on its own."""
+    """The reference: one belief call per point, each derivative grid interpolated on its own."""
     tb, xb = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     pts = list(zip(tb.ravel().tolist(), xb.ravel().tolist()))
-    b = np.array([sol.beliefs.drift(i, a, c) for a, c in pts]).reshape(tb.shape)
-    s = np.array([sol.beliefs.vol(i, a, c) for a, c in pts]).reshape(tb.shape)
-    dv_dt, dv_dx, dv_dxx = (_interp2(sol.ts, sol.xs, g, tb, xb)
-                            for g in (sol.dv_dt, sol.dv_dx, sol.dv_dxx))
+    agent = sol.beliefs.agents[i]
+    b = np.array([agent.drift(a, c) for a, c in pts]).reshape(tb.shape)
+    s = np.array([agent.vol(a, c) for a, c in pts]).reshape(tb.shape)
+    dv_dt, dv_dxx = _time_slope_and_curvature(sol)
+    dv_dt, dv_dx, dv_dxx = (_interp2(sol.ts, sol.xs, g, tb, xb) for g in (dv_dt, sol.dv_dx, dv_dxx))
     return dv_dt + b * dv_dx + 0.5 * s * s * dv_dxx
 
 
 @pytest.mark.parametrize("kind", ["ou", "constant"])
 def test_agent_drift_calls_beliefs_once_per_time(kind, fx_spec, fx_beliefs, small_grid):
+    # once per time level of the grid, on the first read; later reads call nothing
     base = fx_beliefs if kind == "ou" else constant_beliefs([0.02, -0.01], [0.1, 0.2])
     beliefs, calls = _counted(base)
     sol = solve_equilibrium(fx_spec, beliefs, small_grid)
+    calls.update(drift=0, vol=0)
+    sol.agent_drift(0, 1.0, 1.2)
+    assert calls == {"drift": 2 * small_grid.nt, "vol": 2 * small_grid.nt}
     column = (sol.ts[77], np.linspace(0.4, 2.1, 50))  # a path column, past both edges
     mesh = np.meshgrid(np.linspace(0.0, 3.0, 3), np.linspace(0.8, 1.7, 4), indexing="ij")
+    scale = np.max(np.abs(sol.drift_grids))
     for i in range(2):
-        for (t, x), n_calls in ((column, 1), (mesh, 3)):
+        for t, x in (column, mesh):
             calls.update(drift=0, vol=0)
             got = sol.agent_drift(i, t, x)
-            assert calls == {"drift": n_calls, "vol": n_calls}
-            assert np.array_equal(got, _per_point_drift(sol, i, t, x))
+            assert calls == {"drift": 0, "vol": 0}
+            assert np.max(np.abs(got - _per_point_drift(sol, i, t, x))) <= 1e-12 * scale
+        calls.update(drift=0, vol=0)
+        assert np.isnan(sol.agent_drift(i, [1.0, np.nan], 1.2)).tolist() == [False, True]
+        assert calls == {"drift": 0, "vol": 0}
+
+
+def test_agent_drift_on_time_and_state_dependent_beliefs(fx_kernel, small_grid):
+    # the product b_i d_x v is interpolated, not its factors: the two drifts
+    # differ at second order in the grid steps: 8.1e-5 of max |mu| here, 2.0e-5
+    # with both steps halved
+    spec = MarketSpec(kernel=fx_kernel, supply_a0=0.0, allocations=(1.0, -1.0), payoff=curved)
+    sol = solve_equilibrium(spec, drifting_beliefs(), small_grid)
+    rng = np.random.default_rng(0)
+    t = rng.uniform(0.0, HORIZON, 2000)
+    x = rng.uniform(small_grid.x_min, small_grid.x_max, 2000)
+    scale = np.max(np.abs(sol.drift_grids))
+    for i in range(2):
+        gap = np.max(np.abs(sol.agent_drift(i, t, x) - _per_point_drift(sol, i, t, x)))
+        assert gap <= 2e-4 * scale
 
 
 def _fresh_python(code: str) -> str:
