@@ -341,7 +341,9 @@ def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
                                           npaths=num["paths"], seed=num["seed"] + 300 + i,
                                           nt=num["steps"])
         exact = surface.agent_value(i, 0.0, x0)
-        z = abs(est - exact) / se
+        # the SE with a roundoff floor: a constant payoff's SE is roundoff or 0
+        gap = abs(est - exact)
+        z = gap / np.hypot(se, 64 * np.finfo(float).eps * max(abs(est), abs(exact))) if gap else 0.0
         fk[f"feynman_kac_agent_{i}"] = {"estimate": est, "surface": exact, "z": z,
                                         "ok": bool(z <= 3.0)}
 

@@ -98,8 +98,11 @@ class MarketSpec:
             raise ValueError(f"supply must be nonnegative and finite, got {self.supply_a0:g}")
         if len(self.allocations) < 1:
             raise ValueError("need at least one allocation")
-        if not abs(sum(self.allocations) - self.supply_a0) <= 1e-12:   # a NaN fails too
-            raise ValueError(f"allocations {list(self.allocations)} must sum to the supply")
+        a = self.allocations
+        # to 1e-12 of the holdings' size: the default [a0/N] * N misses a0 by roundoff of a0
+        if not (np.isfinite(a).all()
+                and abs(sum(a) - self.supply_a0) <= 1e-12 * max(1.0, sum(map(abs, a)))):
+            raise ValueError(f"allocations {list(a)} must sum to the supply and be finite")
 
     @property
     def n_agents(self) -> int:

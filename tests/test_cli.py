@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from illiquid_eq import pde
 from illiquid_eq.cli import COMMANDS, main
 from illiquid_eq.kernel import CostKernel
 from illiquid_eq.model import MarketSpec
@@ -205,6 +206,36 @@ def test_figures_honour_supply(config, tmp_path):
                                tables[0.0]["fig_error_corrected"], rtol=0, atol=1e-12)
 
 
+# a constant payoff: the Feynman-Kac estimate and the surface agree to
+# roundoff, and the estimate's SE is roundoff (OU beliefs) or exactly 0
+CONSTANT_PAYOFF = ["--set", "model.payoff={type: constant, value: 2.0}",
+                   "--set", "numerics.mc={paths: 200, steps: 50}"]
+
+
+@pytest.mark.parametrize("beliefs", ["ou", "constant"])
+def test_constant_payoff_passes_feynman_kac(config, tmp_path, beliefs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = _verify(config, tmp_path, *CONSTANT_PAYOFF,
+                               *(CONSTANT if beliefs == "constant" else []))
+    assert code == 0
+    assert all(report["checks"][f"feynman_kac_agent_{i}"]["z"] <= 1.0 for i in range(2))
+
+
+@pytest.mark.parametrize("beliefs", ["ou", "constant"])
+def test_feynman_kac_floor_still_sees_a_surface_off_by_1e_10(config, tmp_path, monkeypatch,
+                                                             beliefs):
+    def shifted(*args):
+        sol = solve_equilibrium(*args)
+        sol.vi += 1e-10
+        return sol
+    monkeypatch.setattr(pde, "solve_equilibrium", shifted)
+    code, report = _verify(config, tmp_path, *CONSTANT_PAYOFF,
+                           *(CONSTANT if beliefs == "constant" else []))
+    assert code == 1
+    assert not any(report["checks"][f"feynman_kac_agent_{i}"]["ok"] for i in range(2))
+
+
 # payoffs other than f(x) = x, which the OU ODE reduction assumes
 PAYOFFS = {"constant": "{type: constant, value: 7.0}",
            "polynomial": "{type: polynomial, coeffs: [0, 0, 1]}"}
@@ -296,6 +327,8 @@ def test_malformed_config_is_input_error(config, tmp_path, capsys, override):
     ("model.beliefs={type: constant, drifts: [0, 0], vols: [-0.5, 0.1]}",
      "vols must be finite and positive"),
     ("model.allocations=[1.0, 1.0]", "allocations [1.0, 1.0] must sum to the supply"),
+    ("model.allocations=[.inf, -.inf]", "allocations [inf, -inf] must sum to the supply and be finite"),
+    ("model.allocations=[.nan, 0.0]", "allocations [nan, 0.0] must sum to the supply and be finite"),
 ])
 def test_each_input_is_checked_where_it_enters(config, tmp_path, capsys, override, name):
     # no numpy warning may come before the message: an overflowing payoff is reported once
@@ -307,6 +340,17 @@ def test_each_input_is_checked_where_it_enters(config, tmp_path, capsys, overrid
     assert code == 2
     assert err.startswith("error: ") and name in err and "Traceback" not in err
     assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("n", [7, 11])
+@pytest.mark.parametrize("supply", ["1.0e4", "1.0e6"])
+def test_default_allocations_meet_the_supply(config, tmp_path, n, supply):
+    # [a0/N] * N misses a0 by roundoff of a0's size: 1.8e-12 for 7 agents at 1e4
+    kappas = np.linspace(0.2, 0.9, n).tolist()
+    out = tmp_path / "out"
+    assert main(["pde-solve", "--config", str(config), "--out", str(out), *SMALL,
+                 "--set", f"model.beliefs.kappas={kappas}", "--set", f"model.supply={supply}",
+                 "--set", "model.allocations=null"]) == 0
 
 
 @pytest.mark.parametrize("command, override, message", [

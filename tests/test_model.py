@@ -40,7 +40,8 @@ class TestValidate:
 
     def test_allocation_sum_violation(self):
         # the market itself refuses allocations that do not sum to the supply
-        for allocations, a0 in (((1.0, 1.0), 0.0), ((0.5, 0.5 + 2e-12), 1.0), ((np.nan,), 0.0)):
+        for allocations, a0 in (((1.0, 1.0), 0.0), ((0.5, 0.5 + 2e-12), 1.0), ((np.nan,), 0.0),
+                                ((np.inf, -np.inf), 0.0), ((np.inf, 0.0), 0.0)):
             with pytest.raises(ValueError, match="must sum to the supply"):
                 _spec(allocations, a0)
         _spec((0.5, 0.5 + 5e-13), 1.0)
