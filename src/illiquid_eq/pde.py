@@ -197,32 +197,14 @@ def _level_solver(n: int, nx: int):
     rhs)`` takes one level's matrix and rhs (N, nx) and returns the new
     values, (N, nx).  Unknown j*N + i is agent i at node j.  Within a node
     the mean coupling is an N x N block with diagonal 1 - k (di_i + c) + k c/N
-    and off-diagonal k c/N; L_i links nodes at offsets +-N.  The matrices are
-    stored for the LAPACK routine that ``solve_banded((N, N))`` picks, taken
-    from ``_lapack()``, scipy's compiled wrappers loaded without the slow
-    import of scipy.linalg: gtsv for one equation (rows: sub-diagonal from
-    index 1, diagonal, super-diagonal), otherwise gbsv, whose band storage
-    has N leading rows of pivoting fill-in above the (2N + 1) diagonals, each
-    level laid out in Fortran order so that gbsv factors it in place.
+    and off-diagonal k c/N; L_i links nodes at offsets +-N.  Every N has one
+    layout, gbsv's band storage: N leading rows of pivoting fill-in above the
+    (2N + 1) diagonals, each level in Fortran order so that gbsv factors it in
+    place.  ``solve`` calls gbsv, or for one equation the tridiagonal gtsv,
+    several times faster, on the three diagonal rows of that storage; both
+    routines come from ``_lapack()``.
     """
-    if n == 1:
-        gtsv = _lapack().dgtsv
-
-        def matrices(lo, di, up, c, k):
-            k, c = k[:, None], c[:, None]
-            a = np.zeros((len(k), 3, nx))
-            a[:, 0, 1:] = -k * lo[:, 0, 1:]
-            a[:, 1] = 1.0 - k * (di[:, 0] + c) + k * c
-            a[:, 2, :-1] = -k * up[:, 0, :-1]
-            _require_finite(a)
-            return a
-
-        def solve(a, rhs):
-            *_, x, info = gtsv(a[0, 1:], a[1], a[2, :-1], rhs[0], True, True, True, True)
-            return _solved(x, info)[None, :]
-        return matrices, solve
-
-    gbsv = _lapack().dgbsv
+    lapack = _lapack()
     width = n * nx
 
     def matrices(lo, di, up, c, k):
@@ -242,7 +224,11 @@ def _level_solver(n: int, nx: int):
         return ab
 
     def solve(a, rhs):
-        _, _, x, info = gbsv(n, n, a, rhs.T.ravel(), overwrite_ab=True, overwrite_b=True)
+        b = rhs.T.ravel()
+        if n == 1:
+            *_, x, info = lapack.dgtsv(a[3, :-1], a[2], a[1, 1:], b, True, True, True, True)
+        else:
+            _, _, x, info = lapack.dgbsv(n, n, a, b, overwrite_ab=True, overwrite_b=True)
         return _solved(x, info).reshape(-1, n).T
     return matrices, solve
 
