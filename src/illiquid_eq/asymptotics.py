@@ -20,8 +20,8 @@ import numpy as np
 
 from .kernel import supply_drag
 from .model import BeliefSet, MarketSpec
-from .pde import (BLOCK_LEVELS, Grid1D, GridSurface, _coeff_grid, _interp2, _march, _midpoints,
-                  _step, solve_frictionless, solve_risk_neutral)
+from .pde import (BLOCK_LEVELS, Grid1D, GridSurface, _coeff_grid, _march, _midpoints, _step,
+                  solve_frictionless, solve_risk_neutral)
 
 __all__ = ["CorrectionSurface", "SmoothnessError", "tc_correction", "hc_correction"]
 
@@ -142,8 +142,9 @@ def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Correct
     ts, xs = v0.ts, v0.xs
     T = spec.horizon_T
     mids = _midpoints(ts)
-    # every surface at every step midpoint, (N + 1, nt - 1, nx)
-    at_mids = _interp2(ts, xs, np.stack([v0.v] + [vi.v for vi in vis]), mids[:, None], xs)
+    # every surface at every step midpoint, the mean of its two levels, (N + 1, nt - 1, nx)
+    F = np.stack([v0.v] + [vi.v for vi in vis])
+    at_mids = 0.5 * (F[:, :-1] + F[:, 1:])
     source = ((T - mids) / lam)[:, None, None] * (at_mids[0] - at_mids[1:]).transpose(1, 0, 2)
     if _constant_payoff(v0.v):
         source[:] = 0.0

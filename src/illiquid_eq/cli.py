@@ -241,7 +241,7 @@ def cmd_ou_solve(cfg: RunConfig, out: Path, args) -> tuple:
     m = _require_ou(beliefs, payoff_type, "ou-solve")
     ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=spec.supply_a0)
     path = out / "ab_curves.csv"
-    oumod.curves_csv(m, ab, path, x_eval=num["x_eval"])
+    oumod.curves_csv(ab, path, x_eval=num["x_eval"])
     return [path], None
 
 
@@ -397,7 +397,7 @@ def cmd_figures(cfg: RunConfig, out: Path, args) -> tuple:
     a0 = spec.supply_a0
     ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=a0)
     ts = ab.ts[:: max(1, len(ab.ts) // 600)]
-    bbar, env_lo, env_hi = oumod.volatility_curve(m, ab, ts)
+    bbar, env_lo, env_hi = oumod.volatility_curve(ab, ts)
     drag = supply_drag(spec.kernel, a0 / m.n_agents, ts)
     gamma = spec.kernel.gamma
     price_both = ab.value(ts, x)

@@ -310,13 +310,14 @@ def hc_correction_closed(model: OuModel, lam: float, t, x):
     return (np.asarray(x, dtype=float) - model.mean_X) * tau / (lam * n * n) * (s1 - s2)
 
 
-def volatility_curve(model: OuModel, ab: AbSolution, t):
-    """Price loading Bbar(t) with its two limiting envelopes.
+def volatility_curve(ab: AbSolution, t):
+    """Price loading Bbar(t) with its two limiting envelopes, for the model of ``ab``.
 
     Returns (b_bar, lower, upper) where lower = e^{-kappa_bar (T-t)} is the
     no-trading-cost loading and upper = mean_i e^{-kappa_i (T-t)} the
     no-holding-cost one; Bbar interpolates between them.
     """
+    model = ab.model
     t = np.asarray(t, dtype=float)
     tau = model.horizon_T - t
     kap = np.asarray(model.kappas)
@@ -325,10 +326,10 @@ def volatility_curve(model: OuModel, ab: AbSolution, t):
     return ab.b_bar(t), lower, upper
 
 
-def curves_csv(model: OuModel, ab: AbSolution, path, x_eval: float = 1.0) -> None:
+def curves_csv(ab: AbSolution, path, x_eval: float = 1.0) -> None:
     """Write t, per-agent A/B, Bbar, envelopes and price at x_eval."""
     ts = ab.ts
-    bbar, lower, upper = volatility_curve(model, ab, ts)
+    bbar, lower, upper = volatility_curve(ab, ts)
     v = ab.value(ts, np.full_like(ts, x_eval))
     n = ab.n_agents
     header = (["t"] + [f"A{i+1}" for i in range(n)] + [f"B{i+1}" for i in range(n)]

@@ -110,16 +110,16 @@ def _interp2(ts, xs, F, tq, xq):
     """Bilinear interpolation of F, indexed (..., t, x), at (tq, xq) on a uniform grid.
 
     Clamps in t, infinite times included; extrapolates linearly in x beyond
-    the edges, consistent with the zero-curvature boundary condition.  Needs
-    at least 2 time levels.
+    the edges, consistent with the zero-curvature boundary condition.  A NaN
+    t or x gives NaN.  Needs at least 2 time levels.
     """
     tq = np.asarray(tq, dtype=float)
     xq = np.asarray(xq, dtype=float)
     dt, h = _step(ts), _step(xs)
-    # clamped before the cast; fmax takes a NaN time to cell 0, where its weight stays NaN
+    # clamped before the cast; fmax takes a NaN coordinate to cell 0, where its weight stays NaN
     it = np.fmin(np.fmax((tq - ts[0]) / dt, 0.0), len(ts) - 2).astype(int)
     wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0)
-    ix = np.clip(((xq - xs[0]) / h).astype(int), 0, len(xs) - 2)
+    ix = np.fmin(np.fmax((xq - xs[0]) / h, 0.0), len(xs) - 2).astype(int)
     wx = (xq - xs[ix]) / h  # outside [0,1] beyond the edges -> linear extrapolation
     # (1 - wt) ((1 - wx) f00 + wx f01) + wt ((1 - wx) f10 + wx f11), in place
     # where it can be: four corner arrays are never held at once

@@ -313,8 +313,8 @@ class TestClosedForms:
 
 
 class TestVolatilityCurve:
-    def test_all_one_at_horizon(self, fx_model, fx_ab):
-        b, lo, hi = volatility_curve(fx_model, fx_ab, 3.0)
+    def test_all_one_at_horizon(self, fx_ab):
+        b, lo, hi = volatility_curve(fx_ab, 3.0)
         assert float(b) == pytest.approx(1.0, rel=1e-12)
         assert float(lo) == 1.0 and float(hi) == 1.0
 
@@ -322,17 +322,17 @@ class TestVolatilityCurve:
         m = OuModel(kappas=(0.575, 0.575), mean_X=1.25, sigma=0.128, horizon_T=3.0)
         ab = solve_ab(m, CostKernel(1e-8, 1e-7, 3.0), 500)
         ts = np.linspace(0.0, 3.0, 11)
-        b, lo, hi = volatility_curve(m, ab, ts)
+        b, lo, hi = volatility_curve(ab, ts)
         assert np.allclose(lo, hi, rtol=1e-14)
         assert np.allclose(b, lo, atol=1e-8)
 
-    def test_jensen_ordering(self, fx_model, fx_ab):
+    def test_jensen_ordering(self, fx_ab):
         ts = np.linspace(0.0, 3.0, 301)
-        _, lo, hi = volatility_curve(fx_model, fx_ab, ts)
+        _, lo, hi = volatility_curve(fx_ab, ts)
         assert np.all(hi >= lo - 1e-15)
 
-    def test_interpolation_envelope(self, fx_model, fx_ab):
-        b, lo, hi = volatility_curve(fx_model, fx_ab, fx_ab.ts)
+    def test_interpolation_envelope(self, fx_ab):
+        b, lo, hi = volatility_curve(fx_ab, fx_ab.ts)
         assert np.all(b >= lo - 1e-6)
         assert np.all(b <= hi + 1e-6)
 

@@ -499,6 +499,21 @@ def test_interp2_nan_time_gives_nan():
         assert np.isnan(_interp2(ts, xs, F, np.array([0.5, np.nan]), 1.0)).tolist() == [False, True]
 
 
+def test_interp2_nan_and_huge_states_are_read_without_a_cast_warning():
+    # the state is clamped to a cell before it is cast to an index, as the
+    # time is: a NaN gives NaN and +-1e300 extrapolates the edge cell
+    ts, xs = np.linspace(0.0, 1.0, 11), np.linspace(0.5, 2.0, 9)
+    F = np.random.default_rng(3).random((len(ts), len(xs)))
+    xq = np.array([np.nan, 1e300, -1e300, 1.37])
+    with np.errstate(all="raise"):
+        got = _interp2(ts, xs, F, 0.5, xq)
+    h, f = xs[1] - xs[0], F[5]   # t = 0.5 is level 5
+    assert np.isnan(got[0])
+    assert got[1] == pytest.approx(f[-2] + (1e300 - xs[-2]) / h * (f[-1] - f[-2]), rel=1e-12)
+    assert got[2] == pytest.approx(f[0] + (-1e300 - xs[0]) / h * (f[1] - f[0]), rel=1e-12)
+    assert got[3] == _interp2(ts, xs, F, 0.5, 1.37)
+
+
 def _counted(beliefs):
     """The belief set with each drift and vol call counted, and the counts."""
     calls = {"drift": 0, "vol": 0}
