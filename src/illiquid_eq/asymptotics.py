@@ -11,7 +11,9 @@ a fourth-order spatial chain of the frictionless price at each time level.
 It is manufactured on a refined grid by repeated central differencing with
 a single 3-point smoothing pass, only at the step midpoints where the march
 reads it, BLOCK_LEVELS of them at a time.  The small-holding-cost
-correction uses only the risk-neutral value surfaces.
+correction uses only the risk-neutral values.  Each correction marches its
+own limit price with ``pde._march``, and the beliefs are read only through
+``pde._coefficients``: Lbar's b and sigma^2 are the agents' means.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from .kernel import supply_drag
 from .model import BeliefSet, MarketSpec
-from .pde import (BLOCK_LEVELS, Grid1D, GridSurface, _coeff_grid, _march, _midpoints, _step,
-                  solve_frictionless, solve_risk_neutral)
+from .pde import (BLOCK_LEVELS, Grid1D, GridSurface, _agent_mean, _coefficients, _interp2,
+                  _march, _midpoints, _setup, _step)
 
 __all__ = ["CorrectionSurface", "SmoothnessError", "tc_correction", "hc_correction"]
 
@@ -53,25 +55,25 @@ def _constant_payoff(v: np.ndarray) -> bool:
     return not np.ptp(v[-1])
 
 
-def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, v0: GridSurface, ts) -> np.ndarray:
+def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, fts, fxs, v0, ts) -> np.ndarray:
     """Smoothed trading-cost source at the midpoints of the steps ``ts``, (len(ts) - 1, nx).
 
-    ``v0`` is the frictionless price on a refinement of the grid of ``ts``.
-    The chain runs on its nodes, BLOCK_LEVELS midpoints at a time, and the
-    source is taken on the coarse nodes, so only v0 is a whole fine-grid
-    array.  The smoothness rule is global: the largest roughness over all
-    midpoints and the payoff level T, which is judged but feeds no source, is
-    judged against the largest smoothed interior value.  Roughness is what
-    the filter removes inside and, at the unfiltered edge columns, the
-    distance from the linear extrapolation of their two smoothed inner
-    neighbours, so a period-2 ripple cannot hide at the edges.  A constant
-    payoff gives the zero source without a roughness judgement.
+    ``v0`` is the frictionless price on the times ``fts`` and nodes ``fxs``
+    of a refinement of the grid of ``ts``.  The chain runs on its nodes,
+    BLOCK_LEVELS midpoints at a time, and the source is taken on the coarse
+    nodes, so only v0 is a whole fine-grid array.  The smoothness rule is
+    global: the largest roughness over all midpoints and the payoff level T,
+    which is judged but feeds no source, is judged against the largest
+    smoothed interior value.  Roughness is what the filter removes inside
+    and, at the unfiltered edge columns, the distance from the linear
+    extrapolation of their two smoothed inner neighbours, so a period-2
+    ripple cannot hide at the edges.  A constant payoff gives the zero
+    source without a roughness judgement.
     """
-    fxs = v0.xs
-    refine = (len(v0.ts) - 1) // (len(ts) - 1)
+    refine = (len(fts) - 1) // (len(ts) - 1)
     levels = np.append(_midpoints(ts), ts[-1])
     out = np.zeros((len(levels), len(fxs[::refine])))
-    if _constant_payoff(v0.v):
+    if _constant_payoff(v0):
         return out[:-1]
     gamma = spec.kernel.gamma
     n = beliefs.n_agents
@@ -79,21 +81,18 @@ def _expansion_source(spec: MarketSpec, beliefs: BeliefSet, v0: GridSurface, ts)
     scale = rough = 0.0
     for lo in range(0, len(levels), BLOCK_LEVELS):
         t = levels[lo:lo + BLOCK_LEVELS]
-        v = v0.value(t[:, None], fxs)
+        v = _interp2(fts, fxs, v0, t[:, None], fxs)
         vx = np.gradient(v, h, axis=1, edge_order=2)
         vxx = np.gradient(vx, h, axis=1, edge_order=2)
-        bs = [_coeff_grid(agent.drift, t, fxs) for agent in beliefs.agents]
-        s2s = [_coeff_grid(agent.vol, t, fxs) ** 2 for agent in beliefs.agents]
-        # the averages as drift_bar and vol_sq_bar form them
-        bbar, s2bar = sum(bs) / n, sum(s2s) / n
+        b, s2 = _coefficients(beliefs, t, fxs)
+        db, ds2 = b - _agent_mean(b), 0.5 * (s2 - _agent_mean(s2))
         source = np.zeros_like(v)
-        for b_i, s2_i in zip(bs, s2s):
-            db, ds2 = b_i - bbar, 0.5 * (s2_i - s2bar)
+        for i in range(n):
             # agent i's portfolio phi_i = (L^i - Lbar) v0 / gamma, then (L^i - Lbar) phi_i
-            phi = (db * vx + ds2 * vxx) / gamma
+            phi = (db[:, i] * vx + ds2[:, i] * vxx) / gamma
             px = np.gradient(phi, h, axis=1, edge_order=2)
             pxx = np.gradient(px, h, axis=1, edge_order=2)
-            source += (np.sqrt(gamma) / n) * (db * px + ds2 * pxx)
+            source += (np.sqrt(gamma) / n) * (db[:, i] * px + ds2[:, i] * pxx)
         block = _smooth_x(source)
         if not np.all(np.isfinite(block)):
             raise SmoothnessError(
@@ -118,37 +117,36 @@ def tc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D,
     of each agent's subjective drift of their frictionless portfolio
     feedback, (d_t + L^i) phi_i times sqrt(gamma).  The portfolios clear, so
     the source is sum_i (L^i - Lbar)^2 v0 / (N sqrt(gamma)), a spatial chain of
-    the frictionless price v0, solved on the grid refined ``refine`` times in
-    t and x.
+    the frictionless price v0, Lbar's march from the payoff on the grid
+    refined ``refine`` times in t and x.  The supply would shift v0 by a
+    function of t alone, which the chain differentiates away.
     """
     ts, xs = grid.ts(spec.horizon_T), grid.xs
-    source = _expansion_source(spec, beliefs,
-                               solve_frictionless(spec, beliefs, grid.refined(refine)), ts)
-    w = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
-               np.zeros((1, len(xs))), source=source)[0]
+    fts, fxs, terminal = _setup(spec, beliefs, grid.refined(refine), 1)
+    v0 = _march(fts, fxs, beliefs, terminal)[0]
+    source = _expansion_source(spec, beliefs, fts, fxs, v0, ts)
+    w = _march(ts, xs, beliefs, np.zeros((1, len(xs))), source=source)[0]
     return CorrectionSurface(ts=ts, xs=xs, v=w)
 
 
 def hc_correction(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> CorrectionSurface:
     """Price correction per unit holding cost around the risk-neutral limit.
 
-    Solves  L^i w_i + ((T-t)/lam)(v0 - v0_i) = 0, w_i(T) = 0,  for all
-    agents in one march, with the risk-neutral surfaces from the
-    finite-difference solver, then averages and adds ``kernel.supply_drag`` / gamma.
+    Marches the risk-neutral values, L^i v0_i = 0 with the payoff at T, and
+    their mean v0; then solves  L^i w_i + ((T-t)/lam)(v0 - v0_i) = 0,
+    w_i(T) = 0,  for all agents in one march, averages and adds
+    ``kernel.supply_drag`` / gamma.
     """
-    lam = spec.kernel.lam
     n = beliefs.n_agents
-    v0, vis = solve_risk_neutral(spec, beliefs, grid)
-    ts, xs = v0.ts, v0.xs
-    T = spec.horizon_T
-    mids = _midpoints(ts)
-    # every surface at every step midpoint, the mean of its two levels, (N + 1, nt - 1, nx)
-    F = np.stack([v0.v] + [vi.v for vi in vis])
-    at_mids = 0.5 * (F[:, :-1] + F[:, 1:])
-    source = ((T - mids) / lam)[:, None, None] * (at_mids[0] - at_mids[1:]).transpose(1, 0, 2)
-    if _constant_payoff(v0.v):
+    ts, xs, terminal = _setup(spec, beliefs, grid, n)
+    vi = _march(ts, xs, beliefs, terminal)
+    v0 = vi.mean(axis=0)
+    # each surface at every step midpoint, the mean of its two levels
+    v0_mids, vi_mids = 0.5 * (v0[:-1] + v0[1:]), 0.5 * (vi[:, :-1] + vi[:, 1:])
+    weight = (spec.horizon_T - _midpoints(ts)) / spec.kernel.lam
+    source = weight[:, None, None] * (v0_mids - vi_mids).transpose(1, 0, 2)
+    if _constant_payoff(v0):
         source[:] = 0.0
-    w = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], np.zeros((n, len(xs))),
-               source=source)
+    w = _march(ts, xs, beliefs, np.zeros((n, len(xs))), source=source)
     drag = supply_drag(spec.kernel, spec.supply_a0 / n, ts) / spec.kernel.gamma
     return CorrectionSurface(ts=ts, xs=xs, v=w.mean(axis=0) + drag[:, None])

@@ -6,19 +6,18 @@ through the zeroth-order cross-agent mean, so with the unknowns ordered
 node-major, agent-minor, each time level of all N equations is a single
 banded linear system of bandwidth N, solved directly.  A march sets up
 BLOCK_LEVELS time levels at a time with whole-array numpy: the operator
-bands from one coefficient call per level, stacked, and the implicit
-matrices; its source comes in as one array over the step midpoints.  The
-level loop is then only the explicit half, a finite check of the right-hand
-side and one LAPACK call, gtsv or gbsv.  Those two routines come from
-scipy's compiled wrappers, the extension module scipy/linalg/_flapack, which
-the first solve loads directly: importing scipy.linalg for them would cost
-every process, solving or not, about 0.3 s of imports.  The domain is
-truncated with zero second spatial derivative (linear extrapolation) at both
-edges, which is exact for affine solutions.  A surface stores what its
-solver computed; its slope and agent drift grids are computed on first read,
-the drifts with one call of each belief per time level, as the march makes.
-Every value, agent value and agent drift is then one bilinear read of a node
-grid.
+bands and the implicit matrices; its source comes in as one array over the
+step midpoints.  The level loop is then only the explicit half, a finite
+check of the right-hand side and one LAPACK call, gtsv or gbsv, loaded on
+the first solve straight from scipy's extension module
+scipy/linalg/_flapack: importing scipy.linalg would cost every process,
+solving or not, about 0.3 s.  The domain is truncated with zero second
+spatial derivative (linear extrapolation) at both edges, which is exact for
+affine solutions.  Beliefs are evaluated on a grid in one place,
+``_coefficients``, one call of each belief per time level; the march, a
+surface's agent drift grids (computed on first read) and the trading-cost
+source all read them from there.  Every value, agent value and agent drift
+is one bilinear read of a node grid.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ __all__ = [
     "EquilibriumSolution",
     "DegenerateVolatilityError",
     "solve_equilibrium",
-    "solve_frictionless",
-    "solve_risk_neutral",
     "default_grid",
 ]
 
@@ -133,42 +130,45 @@ def _interp2(ts, xs, F, tq, xq):
     return v
 
 
-def _coeff_grid(fn, ts, xs) -> np.ndarray:
-    """fn(t, xs) at each time of ts, one call per time, shape (len(ts), nx)."""
-    return np.stack([np.asarray(fn(t, xs), dtype=float) for t in ts])
-
-
 def _midpoints(ts) -> np.ndarray:
     """The midpoint of each time step, where a march reads its source."""
     return 0.5 * (ts[:-1] + ts[1:])
 
 
-def _bands(xs, coeffs, ts) -> np.ndarray:
-    """(lower, diag, upper) of each L_i = 0.5 sigma_i^2 d_xx + b_i d_x, shape (3, len(ts), N, nx).
+def _coefficients(beliefs: BeliefSet, ts, xs):
+    """(b, sigma^2) of every agent at each time of ``ts`` on the nodes ``xs``, each (len(ts), N, nx).
 
-    One ``fn(t, xs)`` call per coefficient and time.  Boundary rows use the
-    linear-extrapolation ghost node: d_xx -> 0 and d_x -> one-sided first
-    difference.  Raises on degenerate vol, naming the latest such time, the
-    first that the backward march reaches.
+    One call of each belief per time.  Raises on a nonpositive or non-finite
+    sigma^2, naming the latest such time, the first a backward march reaches.
     """
-    h = _step(xs)
-    L = np.zeros((3, len(ts), len(coeffs), len(xs)))
-    lo, di, up = L
-    sound = np.ones(len(ts), dtype=bool)
-    for i, (drift_fn, vol_fn) in enumerate(coeffs):
-        b = _coeff_grid(drift_fn, ts, xs)
-        s2 = _coeff_grid(vol_fn, ts, xs) ** 2
-        sound &= np.all((s2 > 0.0) & np.isfinite(s2), axis=1)
-        lo[:, i, 1:-1] = 0.5 * s2[:, 1:-1] / h**2 - b[:, 1:-1] / (2 * h)
-        di[:, i, 1:-1] = -s2[:, 1:-1] / h**2
-        up[:, i, 1:-1] = 0.5 * s2[:, 1:-1] / h**2 + b[:, 1:-1] / (2 * h)
-        di[:, i, 0] = -b[:, 0] / h
-        up[:, i, 0] = b[:, 0] / h
-        di[:, i, -1] = b[:, -1] / h
-        lo[:, i, -1] = -b[:, -1] / h
+    b = np.array([[a.drift(t, xs) for a in beliefs.agents] for t in ts], dtype=float)
+    s2 = np.array([[a.vol(t, xs) for a in beliefs.agents] for t in ts], dtype=float) ** 2
+    sound = np.all((s2 > 0.0) & np.isfinite(s2), axis=(1, 2))
     if not sound.all():
         t = ts[np.flatnonzero(~sound)[-1]]
         raise DegenerateVolatilityError(f"nonpositive or non-finite sigma^2 at t={t:.6g}")
+    return b, s2
+
+
+def _agent_mean(a: np.ndarray) -> np.ndarray:
+    """Mean of (T, N, nx) over its agents, (T, 1, nx): summed in order, then divided by N."""
+    return a.sum(axis=1, keepdims=True) / a.shape[1]
+
+
+def _bands(b, s2, h) -> np.ndarray:
+    """(lower, diag, upper) of L = 0.5 s2 d_xx + b d_x, coefficients (..., nx), shape (3, ..., nx).
+
+    Edge rows use the linear-extrapolation ghost node: d_xx -> 0, d_x one-sided.
+    """
+    L = np.zeros((3,) + b.shape)
+    lo, di, up = L
+    lo[..., 1:-1] = 0.5 * s2[..., 1:-1] / h**2 - b[..., 1:-1] / (2 * h)
+    di[..., 1:-1] = -s2[..., 1:-1] / h**2
+    up[..., 1:-1] = 0.5 * s2[..., 1:-1] / h**2 + b[..., 1:-1] / (2 * h)
+    di[..., 0] = -b[..., 0] / h
+    up[..., 0] = b[..., 0] / h
+    di[..., -1] = b[..., -1] / h
+    lo[..., -1] = -b[..., -1] / h
     return L
 
 
@@ -244,18 +244,20 @@ def _solved(x, info: int) -> np.ndarray:
     return x
 
 
-def _march(ts, xs, coeffs, terminal, coupling=None, source=None) -> np.ndarray:
+def _march(ts, xs, beliefs: BeliefSet, terminal, coupling=None, source=None) -> np.ndarray:
     """March d_t v_i + L_i v_i + c(t)(v_i - vbar) + g_i(t, x) = 0 backward.
 
-    ``coeffs`` holds one (drift, vol) pair of callables per equation;
-    ``coupling`` is c on the time levels (zero if None); ``source`` holds g
-    at each step's midpoint, (nt - 1, ...) with each entry broadcastable to
-    (N, nx).  The bands and implicit matrices of BLOCK_LEVELS levels are
-    built at a time; each level is then the explicit half, from the previous
-    level's bands, and one banded solve of all N equations together.
-    Returns the values, shape (N, nt, nx).
+    One equation per row of ``terminal``: with a row per agent, row i is
+    agent i's generator L^i; with one row, the averaged generator Lbar,
+    whose b and sigma^2 are the agents' means.  ``coupling`` is c on the
+    time levels (zero if None); ``source`` holds g at each step's midpoint,
+    (nt - 1, ...) with each entry broadcastable to (rows, nx).  The bands
+    and implicit matrices of BLOCK_LEVELS levels are built at a time; each
+    level is then the explicit half, from the previous level's bands, and
+    one banded solve of all the equations together.  Returns the values,
+    shape (rows, nt, nx).
     """
-    n, nt = len(coeffs), len(ts)
+    n, nt, h = len(terminal), len(ts), _step(xs)
     c = np.zeros(nt) if coupling is None else coupling
     out = np.empty((n, nt, len(xs)))
     out[:, -1] = terminal
@@ -264,12 +266,18 @@ def _march(ts, xs, coeffs, terminal, coupling=None, source=None) -> np.ndarray:
     dts = ts[1:] - ts[:-1]
     theta = np.where(np.arange(nt - 1) < nt - 1 - RANNACHER_STEPS, 0.5, 1.0)
     explicit, k = dts * (1.0 - theta), dts * theta
+
+    def bands(levels):
+        b, s2 = _coefficients(beliefs, levels, xs)
+        if n == 1:
+            b, s2 = _agent_mean(b), _agent_mean(s2)
+        return _bands(b, s2, h)
     # bands of the last level solved: the explicit half of the next step
-    lo1, di1, up1 = _bands(xs, coeffs, ts[-1:])[:, 0]
+    lo1, di1, up1 = bands(ts[-1:])[:, 0]
     for hi in range(nt - 1, 0, -BLOCK_LEVELS):
         start = max(0, hi - BLOCK_LEVELS)
-        bands = _bands(xs, coeffs, ts[start:hi])
-        mats = matrices(*bands, c[start:hi], k[start:hi])
+        block = bands(ts[start:hi])
+        mats = matrices(*block, c[start:hi], k[start:hi])
         for m in range(hi - 1, start - 1, -1):
             expl = di1 * v
             expl[:, :-1] += up1[:, :-1] * v[:, 1:]
@@ -282,7 +290,7 @@ def _march(ts, xs, coeffs, terminal, coupling=None, source=None) -> np.ndarray:
             _require_finite(rhs)
             v = solve(mats[m - start], rhs)
             out[:, m] = v
-            lo1, di1, up1 = bands[:, m - start]
+            lo1, di1, up1 = block[:, m - start]
         # one block's set-up at a time: the next is built after this is freed
         del mats
     return out
@@ -347,8 +355,8 @@ class EquilibriumSolution(GridSurface):
     def drift_grids(self) -> np.ndarray:
         """mu_i = L^i v = d_t v + b_i d_x v + 0.5 sigma_i^2 d_xx v on the nodes, (N, nt, nx).
 
-        Each belief is called once per time level with the grid's nodes, as
-        the march calls it; the curvature's edge columns copy their neighbours.
+        The coefficients come from ``_coefficients`` on the surface's grid, as
+        the march reads them; the curvature's edge columns copy their neighbours.
         """
         ts, xs, v = self.ts, self.xs, self.v
         dv_dt = np.gradient(v, _step(ts), axis=0)
@@ -356,10 +364,9 @@ class EquilibriumSolution(GridSurface):
         dv_dxx[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / _step(xs) ** 2
         dv_dxx[:, 0] = dv_dxx[:, 1]
         dv_dxx[:, -1] = dv_dxx[:, -2]
-        mu = np.empty_like(self.vi)
-        for i, a in enumerate(self.beliefs.agents):
-            mu[i] = dv_dt + _coeff_grid(a.drift, ts, xs) * self.dv_dx
-            mu[i] += 0.5 * _coeff_grid(a.vol, ts, xs) ** 2 * dv_dxx
+        b, s2 = _coefficients(self.beliefs, ts, xs)
+        mu = dv_dt + b.swapaxes(0, 1) * self.dv_dx
+        mu += 0.5 * s2.swapaxes(0, 1) * dv_dxx
         return mu
 
     def agent_drift(self, i: int, t, x):
@@ -394,31 +401,8 @@ def solve_equilibrium(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> Equ
     ts, xs, terminal = _setup(spec, beliefs, grid, n)
     kern, share = spec.kernel, spec.supply_a0 / n
     c_ts = log_deriv(kern, ts)
-    vi = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], terminal, coupling=c_ts)
+    vi = _march(ts, xs, beliefs, terminal, coupling=c_ts)
     drag = supply_drag(kern, share, ts)[:, None]
     v = vi.mean(axis=0) + drag
     vi += drag - kern.lam * share * c_ts[:, None]
     return EquilibriumSolution(ts=ts, xs=xs, v=v, vi=vi, spec=spec, beliefs=beliefs)
-
-
-def solve_frictionless(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D) -> GridSurface:
-    """Representative-agent price: d_t v + 0.5 sbar^2 d_xx v + bbar d_x v = gamma a0 / N.
-
-    Averaged coefficients, terminal payoff f, no lambda; the supply adds ``kernel.supply_drag``.
-    """
-    ts, xs, terminal = _setup(spec, beliefs, grid, 1)
-    v = _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
-               terminal)[0]
-    v += supply_drag(spec.kernel, spec.supply_a0 / beliefs.n_agents, ts)[:, None]
-    return GridSurface(ts=ts, xs=xs, v=v)
-
-
-def solve_risk_neutral(spec: MarketSpec, beliefs: BeliefSet, grid: Grid1D):
-    """Zero-holding-cost system: each v_i solves L^i v_i = 0; price is the mean.
-
-    Returns (aggregate GridSurface, list of per-agent GridSurfaces).
-    """
-    ts, xs, terminal = _setup(spec, beliefs, grid, beliefs.n_agents)
-    vi = _march(ts, xs, [(b.drift, b.vol) for b in beliefs.agents], terminal)
-    agg = GridSurface(ts=ts, xs=xs, v=vi.mean(axis=0))
-    return agg, [GridSurface(ts=ts, xs=xs, v=v) for v in vi]

@@ -10,7 +10,7 @@ from illiquid_eq.asymptotics import SmoothnessError, hc_correction, tc_correctio
 from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec
 from illiquid_eq.ou import (OuModel, hc_correction_closed, ou_beliefs,
                             tc_correction_closed)
-from illiquid_eq.pde import Grid1D, _interp2, _march, _step, solve_frictionless
+from illiquid_eq.pde import Grid1D, _interp2, _march, _setup, _step
 
 from conftest import GAMMA, HORIZON, LAM, MEAN_X, SIGMA, curved, drifting_beliefs
 
@@ -64,8 +64,13 @@ def test_supply_shifts_holding_correction(n, fx_kernel):
 def _averaged_march(beliefs, grid, horizon, source):
     """The trading-cost correction w: the averaged generator's march from w(T) = 0."""
     ts, xs = grid.ts(horizon), grid.xs
-    return _march(ts, xs, [(beliefs.drift_bar, lambda t, x: np.sqrt(beliefs.vol_sq_bar(t, x)))],
-                  np.zeros((1, len(xs))), source=source)[0]
+    return _march(ts, xs, beliefs, np.zeros((1, len(xs))), source=source)[0]
+
+
+def _frictionless(spec, beliefs, fine):
+    """(times, nodes, price) of the frictionless price on ``fine``: the averaged march from the payoff."""
+    fts, fxs, terminal = _setup(spec, beliefs, fine, 1)
+    return fts, fxs, _march(fts, fxs, beliefs, terminal)[0]
 
 
 def _smoothed(source):
@@ -81,15 +86,15 @@ def _whole_array_tc(spec, beliefs, grid, refine):
     """
     gamma = spec.kernel.gamma
     n = beliefs.n_agents
-    v0 = solve_frictionless(spec, beliefs, grid.refined(refine))
-    ts, fxs = grid.ts(spec.horizon_T), v0.xs
+    fts, fxs, v0 = _frictionless(spec, beliefs, grid.refined(refine))
+    ts = grid.ts(spec.horizon_T)
     mids = 0.5 * (ts[:-1] + ts[1:])
     h = (fxs[-1] - fxs[0]) / (len(fxs) - 1)
 
     def coeff(fn):
         return np.stack([np.asarray(fn(t, fxs), dtype=float) for t in mids])
 
-    v = v0.value(mids[:, None], fxs)
+    v = _interp2(fts, fxs, v0, mids[:, None], fxs)
     vx = np.gradient(v, h, axis=1, edge_order=2)
     vxx = np.gradient(vx, h, axis=1, edge_order=2)
     bbar, s2bar = coeff(beliefs.drift_bar), coeff(beliefs.vol_sq_bar)
@@ -112,17 +117,16 @@ def _full_generator_tc(spec, beliefs, grid, refine):
     """
     gamma = spec.kernel.gamma
     n = beliefs.n_agents
-    v0 = solve_frictionless(spec, beliefs, grid.refined(refine))
-    fts, fxs = v0.ts, v0.xs
+    fts, fxs, v0 = _frictionless(spec, beliefs, grid.refined(refine))
     h, dt = (fxs[-1] - fxs[0]) / (len(fxs) - 1), (fts[-1] - fts[0]) / (len(fts) - 1)
 
     def coeff(fn):
         return np.stack([np.asarray(fn(t, fxs), dtype=float) for t in fts])
 
-    vx = np.gradient(v0.v, h, axis=1, edge_order=2)
+    vx = np.gradient(v0, h, axis=1, edge_order=2)
     vxx = np.gradient(vx, h, axis=1, edge_order=2)
     bbar, s2bar = coeff(beliefs.drift_bar), coeff(beliefs.vol_sq_bar)
-    source = np.zeros_like(v0.v)
+    source = np.zeros_like(v0)
     for agent in beliefs.agents:
         b_i, s2_i = coeff(agent.drift), coeff(agent.vol) ** 2
         phi = ((b_i - bbar) * vx + 0.5 * (s2_i - s2bar) * vxx) / gamma

@@ -17,9 +17,9 @@ from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec, constant_belie
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
 import scipy.linalg
 
-from illiquid_eq.pde import (BLOCK_LEVELS, DegenerateVolatilityError, Grid1D, _interp2, _step,
-                             _level_solver, _march, default_grid, solve_equilibrium,
-                             solve_frictionless, solve_risk_neutral)
+from illiquid_eq.pde import (BLOCK_LEVELS, DegenerateVolatilityError, Grid1D, GridSurface, _interp2,
+                             _level_solver, _march, _setup, _step, default_grid,
+                             solve_equilibrium)
 from illiquid_eq.simulate import feynman_kac_vi, simulate
 
 from conftest import HORIZON, curved, drifting_beliefs, interior_mask
@@ -176,23 +176,28 @@ class TestSolveEquilibrium:
             assert got == pytest.approx(exact, abs=5e-4)
 
 
+def _frictionless(spec, beliefs, grid):
+    """The frictionless price: the averaged generator's march from the payoff, as a surface."""
+    ts, xs, terminal = _setup(spec, beliefs, grid, 1)
+    return GridSurface(ts=ts, xs=xs, v=_march(ts, xs, beliefs, terminal)[0])
+
+
+def _risk_neutral(spec, beliefs, grid):
+    """(mean, per-agent) risk-neutral surfaces: each agent's generator marched from the payoff."""
+    ts, xs, terminal = _setup(spec, beliefs, grid, beliefs.n_agents)
+    vi = _march(ts, xs, beliefs, terminal)
+    return GridSurface(ts=ts, xs=xs, v=vi.mean(axis=0)), [GridSurface(ts=ts, xs=xs, v=v) for v in vi]
+
+
 class TestSolveFrictionless:
     def test_constant_payoff_zero_supply(self):
         spec, beliefs = _const_spec([0.1, -0.1], [0.3, 0.4], (1.0, -1.0), 0.0,
                                     lambda x: np.full_like(np.asarray(x, float), 2.0))
-        sol = solve_frictionless(spec, beliefs, Grid1D(-2.0, 2.0, 61, 41))
+        sol = _frictionless(spec, beliefs, Grid1D(-2.0, 2.0, 61, 41))
         assert np.max(np.abs(sol.v - 2.0)) <= 1e-12
 
-    def test_constant_payoff_positive_supply(self):
-        spec, beliefs = _const_spec([0.1, -0.1], [0.3, 0.4], (0.5, 0.5), 1.0,
-                                    lambda x: np.full_like(np.asarray(x, float), 2.0),
-                                    gamma=1e-2, T=1.0)
-        sol = solve_frictionless(spec, beliefs, Grid1D(-2.0, 2.0, 61, 41))
-        expect = 2.0 - 1e-2 * 1.0 * (1.0 - sol.ts) / 2
-        assert np.max(np.abs(sol.v - expect[:, None])) <= 1e-12
-
     def test_calibrated_point(self, fx_spec, fx_beliefs, fx_grid, fx_model):
-        sol = solve_frictionless(fx_spec, fx_beliefs, fx_grid)
+        sol = _frictionless(fx_spec, fx_beliefs, fx_grid)
         assert sol.value(0.0, 1.0) == pytest.approx(1.2054567370567755, abs=2e-5)
 
 
@@ -221,8 +226,6 @@ def test_supply_enters_as_closed_form_shift(gamma, lam):
     assert np.max(np.abs(supplied.v - base.v - drag)) <= 1e-13
     shift_i = drag - lam * 0.5 * log_deriv(kern, T)
     assert np.max(np.abs(supplied.vi - base.vi - shift_i)) <= 1e-13
-    base, supplied = (solve_frictionless(spec, beliefs, grid) for spec in specs)
-    assert np.max(np.abs(supplied.v - base.v - drag)) <= 1e-13
     base, supplied = (tc_correction(spec, beliefs, grid, refine=2) for spec in specs)
     assert np.max(np.abs(supplied.v - base.v)) <= 1e-12 * np.max(np.abs(base.v))
 
@@ -231,7 +234,7 @@ class TestSolveRiskNeutral:
     def test_constant_payoff(self):
         spec, beliefs = _const_spec([0.1, -0.1], [0.3, 0.4], (1.0, -1.0), 0.0,
                                     lambda x: np.full_like(np.asarray(x, float), 1.5))
-        agg, per = solve_risk_neutral(spec, beliefs, Grid1D(-2.0, 2.0, 61, 41))
+        agg, per = _risk_neutral(spec, beliefs, Grid1D(-2.0, 2.0, 61, 41))
         assert np.max(np.abs(agg.v - 1.5)) <= 1e-12
         for surf in per:
             assert np.max(np.abs(surf.v - 1.5)) <= 1e-12
@@ -239,14 +242,14 @@ class TestSolveRiskNeutral:
     def test_single_agent_is_expectation(self):
         payoff = lambda x: np.tanh(np.asarray(x, dtype=float))
         spec, beliefs = _const_spec([0.08], [0.3], (1.0,), 1.0, payoff, T=1.0)
-        agg, per = solve_risk_neutral(spec, beliefs, Grid1D(-3.0, 3.5, 301, 101))
+        agg, per = _risk_neutral(spec, beliefs, Grid1D(-3.0, 3.5, 301, 101))
         batch = simulate(beliefs, 0, 0.2, 0.0, 1.0, 64, 40000, seed=21)
         fT = payoff(batch.paths[:, -1])
         se = fT.std(ddof=1) / np.sqrt(batch.npaths)
         assert abs(agg.value(0.0, 0.2) - fT.mean()) <= 3 * se
 
     def test_calibrated_point(self, fx_spec, fx_beliefs, fx_grid, fx_model):
-        agg, per = solve_risk_neutral(fx_spec, fx_beliefs, fx_grid)
+        agg, per = _risk_neutral(fx_spec, fx_beliefs, fx_grid)
         assert agg.value(0.0, 1.0) == pytest.approx(1.1878358345986477, abs=2e-5)
         assert per[0].value(0.0, 1.0) == pytest.approx(
             1.25 - 0.25 * np.exp(-2.5875), abs=2e-5)
@@ -301,7 +304,7 @@ class TestDerivativeGrids:
             assert np.array_equal(sol.drift_grids[i], dv_dt + b * sol.dv_dx + 0.5 * s2 * dv_dxx)
 
     def test_grids_are_computed_on_first_read(self, fx_spec, fx_beliefs, small_grid):
-        surf = solve_frictionless(fx_spec, fx_beliefs, small_grid)
+        surf = _frictionless(fx_spec, fx_beliefs, small_grid)
         assert "dv_dx" not in vars(surf)
         slope = surf.dv_dx
         assert vars(surf)["dv_dx"] is slope
@@ -337,6 +340,11 @@ def _dense_operator(xs, drift, vol, t):
     return L
 
 
+def _belief_set(coeffs):
+    """A belief set of one agent per (drift, vol) pair of callables."""
+    return BeliefSet(agents=tuple(AgentBelief(b, s) for b, s in coeffs))
+
+
 class TestMarch:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_three_steps_match_dense_solve(self, n):
@@ -351,7 +359,7 @@ class TestMarch:
         c = -1.5 * (1.0 + ts)
         source = lambda t: np.stack([np.cos((i + 1) * xs) * (1.0 + t) for i in range(n)])
         terminal = np.stack([np.sin(xs + i) for i in range(n)])
-        got = _march(ts, xs, coeffs, terminal, coupling=c,
+        got = _march(ts, xs, _belief_set(coeffs), terminal, coupling=c,
                      source=np.stack([source(t) for t in 0.5 * (ts[:-1] + ts[1:])]))
 
         mean = np.kron(np.full((n, n), 1.0 / n), np.eye(nx))
@@ -377,7 +385,7 @@ class TestMarch:
         ts = np.linspace(0.0, 1.0, 4)
         source = lambda t: np.where(xs > 0.5, np.nan, 0.0)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            _march(ts, xs, coeffs, np.zeros((n, 5)),
+            _march(ts, xs, _belief_set(coeffs), np.zeros((n, 5)),
                    source=np.stack([source(t) for t in 0.5 * (ts[:-1] + ts[1:])]))
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -451,7 +459,7 @@ class TestBlockedMarch:
         source = lambda t: np.stack([np.cos((i + 1) * xs + t) for i in range(n)])
         mid_source = np.stack([source(t) for t in 0.5 * (ts[:-1] + ts[1:])])
         terminal = np.stack([np.sin(xs + i) for i in range(n)])
-        got = _march(ts, xs, coeffs, terminal, coupling=c, source=mid_source)
+        got = _march(ts, xs, _belief_set(coeffs), terminal, coupling=c, source=mid_source)
         want = _per_level_march(ts, xs, coeffs, terminal.copy(), c, mid_source)
         assert np.array_equal(got, want)
 
@@ -464,7 +472,7 @@ class TestBlockedMarch:
         coeffs = [(lambda t, x: 0.1 * x, lambda t, x: 0.3 + 0.0 * x),
                   (lambda t, x: 0.1 * x, lambda t, x: (0.0 if t in zero else 0.3) + 0.0 * x)]
         with pytest.raises(DegenerateVolatilityError, match=f"at t={ts[level]:.6g}$"):
-            _march(ts, xs, coeffs, np.zeros((2, len(xs))))
+            _march(ts, xs, _belief_set(coeffs), np.zeros((2, len(xs))))
 
 
 def test_interp2_stacked_surfaces_match_one_at_a_time():

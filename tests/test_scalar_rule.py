@@ -11,7 +11,7 @@ import pytest
 from illiquid_eq import ou
 from illiquid_eq.kernel import CostKernel, log_deriv, ratio
 from illiquid_eq.model import MarketSpec
-from illiquid_eq.pde import Grid1D, solve_equilibrium, solve_frictionless
+from illiquid_eq.pde import Grid1D, GridSurface, _march, _setup, solve_equilibrium
 
 KERN = CostKernel(1e-8, 1e-7, 3.0)
 MODEL = ou.OuModel(kappas=(0.8625, 0.2875), mean_X=1.25, sigma=0.128, horizon_T=3.0)
@@ -23,9 +23,10 @@ def surfaces():
     spec = MarketSpec(kernel=KERN, supply_a0=1.0, allocations=(1.0, 0.0),
                       payoff=lambda x: np.asarray(x, dtype=float) + 0.0)
     grid = Grid1D(0.5, 2.0, 21, 11)
+    ts, xs, terminal = _setup(spec, beliefs, grid, 1)
     return {"ab": ou.solve_ab(MODEL, KERN, n_steps=300, supply_a0=1.0),
             "eq": solve_equilibrium(spec, beliefs, grid),
-            "grid": solve_frictionless(spec, beliefs, grid)}
+            "grid": GridSurface(ts=ts, xs=xs, v=_march(ts, xs, beliefs, terminal)[0])}
 
 
 # each evaluator as f(surfaces, t, x)
