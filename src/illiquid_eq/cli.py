@@ -396,7 +396,8 @@ def cmd_figures(cfg: RunConfig, out: Path, args) -> tuple:
     x = num["x_eval"]
     a0 = spec.supply_a0
     ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=a0)
-    ts = ab.ts[:: max(1, len(ab.ts) // 600)]
+    # at most 600 steps, on nodes of the ODE grid, its first and last included
+    ts = ab.ts[np.unique(np.linspace(0, len(ab.ts) - 1, min(len(ab.ts), 601)).round().astype(int))]
     bbar, env_lo, env_hi = oumod.volatility_curve(ab, ts)
     drag = supply_drag(spec.kernel, a0 / m.n_agents, ts)
     gamma = spec.kernel.gamma

@@ -136,7 +136,7 @@ def _midpoints(ts) -> np.ndarray:
 
 
 def _coefficients(beliefs: BeliefSet, ts, xs):
-    """(b, sigma^2) of every agent at each time of ``ts`` on the nodes ``xs``, each (len(ts), N, nx).
+    """(b, sigma^2) of every agent at each time of ``ts`` on the nodes ``xs``, (len(ts), N, nx).
 
     One call of each belief per time.  Raises on a nonpositive or non-finite
     sigma^2, naming the latest such time, the first a backward march reaches.

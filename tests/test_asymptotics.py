@@ -1,5 +1,6 @@
 """Small-cost corrections: finite-difference surfaces against the closed forms."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from illiquid_eq.asymptotics import SmoothnessError, hc_correction, tc_correctio
 from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec
 from illiquid_eq.ou import (OuModel, hc_correction_closed, ou_beliefs,
                             tc_correction_closed)
-from illiquid_eq.pde import Grid1D, _interp2, _march, _setup, _step
+from illiquid_eq.pde import (DegenerateVolatilityError, Grid1D, _interp2, _march, _setup,
+                             _step, solve_equilibrium)
 
 from conftest import GAMMA, HORIZON, LAM, MEAN_X, SIGMA, curved, drifting_beliefs
 
@@ -68,7 +70,7 @@ def _averaged_march(beliefs, grid, horizon, source):
 
 
 def _frictionless(spec, beliefs, fine):
-    """(times, nodes, price) of the frictionless price on ``fine``: the averaged march from the payoff."""
+    """(times, nodes, values) of the frictionless price on ``fine``: Lbar marched from the payoff."""
     fts, fxs, terminal = _setup(spec, beliefs, fine, 1)
     return fts, fxs, _march(fts, fxs, beliefs, terminal)[0]
 
@@ -266,3 +268,53 @@ def test_roughness_in_one_block_is_judged_against_global_scale(amplitude, rough,
         else:
             tc = tc_correction(spec, beliefs, grid, refine=2)
             assert np.array_equal(tc.v, _whole_array_tc(spec, beliefs, grid, 2))
+
+
+def test_averaged_march_refuses_a_vanishing_agent_vol(fx_kernel):
+    # agent 1's vol vanishes at one grid time, where the agents' mean sigma^2
+    # stays positive; Lbar is built from the agents' coefficients, so its
+    # march refuses the level as the coupled march does
+    grid = Grid1D(0.53, 1.97, 21, 66)
+    t_bad = grid.ts(HORIZON)[40]
+    _, ou, spec = _market(2, fx_kernel)
+    drift, vol = ou.agents[1].drift, ou.agents[1].vol
+
+    def vanishing(t, x):
+        return vol(t, x) * (abs(t - t_bad) > 1e-9)
+
+    beliefs = BeliefSet(agents=(ou.agents[0], AgentBelief(drift, vanishing)))
+    assert np.all(beliefs.vol_sq_bar(t_bad, grid.xs) > 0)
+    for solve in (tc_correction, hc_correction, solve_equilibrium):
+        with pytest.raises(DegenerateVolatilityError, match="at t=1.84615$"):
+            solve(spec, beliefs, grid)
+
+
+def _counted(beliefs):
+    """The belief set with the calls of each agent's drift and vol counted, and the counts."""
+    calls = {}
+
+    def count(key, fn):
+        calls[key] = 0
+
+        def wrapped(t, x):
+            calls[key] += 1
+            return fn(t, x)
+        return wrapped
+    agents = tuple(AgentBelief(count((i, "drift"), a.drift), count((i, "vol"), a.vol))
+                   for i, a in enumerate(beliefs.agents))
+    return dataclasses.replace(beliefs, agents=agents), calls
+
+
+def test_corrections_call_each_belief_once_per_time(fx_kernel):
+    _, ou, spec = _market(3, fx_kernel, payoff=curved)
+    beliefs, calls = _counted(ou)
+    grid = Grid1D(0.53, 1.97, 21, 66)
+    fine = grid.refined(2)
+    tc_correction(spec, beliefs, grid, refine=2)
+    # the frictionless march on the fine levels, the source at the step
+    # midpoints and T, and the correction's march on the coarse levels
+    assert set(calls.values()) == {fine.nt + 2 * grid.nt} == {263}
+    calls.update(dict.fromkeys(calls, 0))
+    hc_correction(spec, beliefs, grid)
+    # the risk-neutral march and the correction's march
+    assert set(calls.values()) == {2 * grid.nt} == {132}

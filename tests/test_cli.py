@@ -206,6 +206,17 @@ def test_figures_honour_supply(config, tmp_path):
                                tables[0.0]["fig_error_corrected"], rtol=0, atol=1e-12)
 
 
+
+@pytest.mark.parametrize("steps, rows", [(3001, 601), (1199, 601), (3000, 601), (300, 301)])
+def test_figures_end_at_the_horizon(config, tmp_path, steps, rows):
+    # a step count that the 600-row subsample does not divide kept the horizon off the figures
+    code = main(["figures", "--config", str(config), "--out", str(tmp_path),
+                 "--set", f"numerics.ode_steps={steps}"])
+    assert code == 0
+    t = np.loadtxt(tmp_path / "fig_prices.csv", delimiter=",", skiprows=1, usecols=0)
+    assert (len(t), t[0], t[-1]) == (rows, 0.0, 3.0)
+    assert np.all(np.diff(t) > 0)
+
 # a constant payoff: the Feynman-Kac estimate and the surface agree to
 # roundoff, and the estimate's SE is roundoff (OU beliefs) or exactly 0
 CONSTANT_PAYOFF = ["--set", "model.payoff={type: constant, value: 2.0}",

@@ -17,8 +17,8 @@ from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec, constant_belie
 from illiquid_eq.ou import OuModel, ou_beliefs, solve_ab
 import scipy.linalg
 
-from illiquid_eq.pde import (BLOCK_LEVELS, DegenerateVolatilityError, Grid1D, GridSurface, _interp2,
-                             _level_solver, _march, _setup, _step, default_grid,
+from illiquid_eq.pde import (BLOCK_LEVELS, DegenerateVolatilityError, Grid1D, GridSurface,
+                             _interp2, _level_solver, _march, _setup, _step, default_grid,
                              solve_equilibrium)
 from illiquid_eq.simulate import feynman_kac_vi, simulate
 
@@ -186,7 +186,8 @@ def _risk_neutral(spec, beliefs, grid):
     """(mean, per-agent) risk-neutral surfaces: each agent's generator marched from the payoff."""
     ts, xs, terminal = _setup(spec, beliefs, grid, beliefs.n_agents)
     vi = _march(ts, xs, beliefs, terminal)
-    return GridSurface(ts=ts, xs=xs, v=vi.mean(axis=0)), [GridSurface(ts=ts, xs=xs, v=v) for v in vi]
+    surfaces = [GridSurface(ts=ts, xs=xs, v=v) for v in vi]
+    return GridSurface(ts=ts, xs=xs, v=vi.mean(axis=0)), surfaces
 
 
 class TestSolveFrictionless:
