@@ -1,6 +1,6 @@
 """Mean-reversion parameter estimation from daily FX time series.
 
-Ingests CSV in the daily-quote format used by the St. Louis Fed's download
+Reads CSV in the daily-quote format used by the St. Louis Fed's download
 files (header row, date and value columns, missing values encoded as ".").
 Estimation matches the first two stationary moments and fits the
 log-autocorrelation function by ordinary least squares through the origin:
@@ -11,47 +11,29 @@ sigma = sqrt(2 * kappa * sample variance).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TimeSeries", "OuEstimate", "CalibrationError",
-           "ingest_csv", "estimate_ou"]
+__all__ = ["CalibrationError", "calibrate"]
 
 TRADING_DAYS_PER_YEAR = 252
 # years between consecutive observations
 SPACING_DT = 1.0 / TRADING_DAYS_PER_YEAR
-# smallest autocorrelation the regression window admits; below it the logs are noise
+# the regression window: lags 1..K, K the largest lag up to MAX_LAG with every
+# autocorrelation up to it above RHO_FLOOR (below it the logs are noise)
 RHO_FLOOR = 0.2
+MAX_LAG = 60
 
 
 class CalibrationError(ValueError):
     """Unusable input series or degenerate estimation window."""
 
 
-@dataclass
-class TimeSeries:
-    """Strictly increasing dates with one value each, SPACING_DT years apart."""
+def _read(path) -> tuple:
+    """(values, number of "." missing markers dropped) of a two-column daily-quote CSV.
 
-    dates: list
-    values: np.ndarray
-    n_dropped: int = 0
-
-    def __post_init__(self):
-        if len(self.dates) != len(self.values):
-            raise CalibrationError("dates and values differ in length")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise CalibrationError("dates must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def ingest_csv(path) -> TimeSeries:
-    """Read a two-column daily-quote CSV, dropping "." missing markers.
-
-    Raises with the offending line number on malformed rows and if nothing
-    usable remains.
+    Raises with the line number on a malformed row or value, and if the dates
+    do not strictly increase or nothing usable remains.
     """
     dates, values = [], []
     dropped = 0
@@ -79,45 +61,29 @@ def ingest_csv(path) -> TimeSeries:
             dates.append(row[0].strip())
     if not values:
         raise CalibrationError(f"{path}: no usable observations")
-    return TimeSeries(dates=dates, values=np.asarray(values, dtype=float), n_dropped=dropped)
+    if any(b <= a for a, b in zip(dates, dates[1:])):
+        raise CalibrationError("dates must be strictly increasing")
+    return np.asarray(values, dtype=float), dropped
 
 
-@dataclass
-class OuEstimate:
-    kappa_bar: float
-    mean_X: float
-    sigma: float
-    diagnostics: dict = field(default_factory=dict)
+def calibrate(path) -> dict:
+    """The OU fit of the series at ``path``, as ``calibration.json`` holds it.
 
-
-def _autocorrelations(x: np.ndarray, max_lag: int) -> np.ndarray:
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
-    return np.array([np.dot(xc[:-k], xc[k:]) / denom for k in range(1, max_lag + 1)])
-
-
-def estimate_ou(series: TimeSeries, max_lag: int = 60) -> OuEstimate:
-    """Estimate (kappa_bar, mean, sigma) by moment matching plus regression.
-
-    The regression uses lags 1..K where K is the largest lag with all
-    sample autocorrelations above RHO_FLOOR, capped at ``max_lag`` >= 1;
-    below that the log-autocorrelations are noise-dominated.
+    kappa_bar from the regression over the window of RHO_FLOOR and MAX_LAG,
+    mean_X and sigma from the first two moments, with diagnostics and source.
     """
-    if max_lag < 1:
-        raise CalibrationError(f"max_lag must be at least 1, got {max_lag}")
-    if len(series) < 100:
+    x, dropped = _read(path)
+    if len(x) < 100:
         raise CalibrationError("need at least 100 observations")
-    x = series.values
     var = float(x.var())
     if var <= 0.0:
         raise CalibrationError("zero variance: constant series cannot be calibrated")
-    rho = _autocorrelations(x, max_lag)
+    xc = x - x.mean()
+    denom = float(np.dot(xc, xc))
+    rho = np.array([np.dot(xc[:-k], xc[k:]) / denom for k in range(1, MAX_LAG + 1)])
     k_stop = 0
-    for k in range(max_lag):
-        if rho[k] > RHO_FLOOR:
-            k_stop = k + 1
-        else:
-            break
+    while k_stop < MAX_LAG and rho[k_stop] > RHO_FLOOR:
+        k_stop += 1
     if k_stop == 0:
         if rho[0] <= 0.0:
             raise CalibrationError("window too wide: nonpositive autocorrelation at lag 1")
@@ -134,14 +100,14 @@ def estimate_ou(series: TimeSeries, max_lag: int = 60) -> OuEstimate:
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else float("nan")
     mean = float(x.mean())
     sigma = float(np.sqrt(2.0 * kappa * var))
-    return OuEstimate(
-        kappa_bar=kappa, mean_X=mean, sigma=sigma,
-        diagnostics={
+    return {
+        "kappa_bar": kappa, "mean_X": mean, "sigma": sigma, "source": str(path),
+        "diagnostics": {
             "lags_used": int(k_stop),
-            "max_lag": int(max_lag),
+            "max_lag": MAX_LAG,
             "r_squared": r2,
             "sample_variance": var,
-            "n_observations": len(series),
-            "n_dropped": series.n_dropped,
+            "n_observations": len(x),
+            "n_dropped": dropped,
             "spacing_dt": SPACING_DT,
-        })
+        }}

@@ -1,10 +1,11 @@
 """Command-line orchestration: config-driven solves, verification, figures.
 
 One declarative YAML (or JSON) config with three sections drives every
-command; ``--set section.key=value`` overrides individual keys.  The config
-is read in one place, ``_build``: a missing or unknown key at any level, a
-value of the wrong type or an invalid market is a ``ConfigError``.  Each
-command is one entry of ``COMMANDS``.  Exit codes: 0 success, 1
+command; ``--set section.key=value`` overrides individual keys.  ``_config``
+checks every key, at any level, against one table, ``_SCHEMA``, once the
+overrides are applied; ``_build`` reads the values: a missing or unknown
+key, a value of the wrong type or an invalid market is a ``ConfigError``.
+Each command is one entry of ``COMMANDS``.  Exit codes: 0 success, 1
 verification failure, 2 input error (every ``ValueError``, with a message
 and no traceback).
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from importlib.resources import files as package_files
 from pathlib import Path
 
@@ -29,92 +29,82 @@ from .kernel import CostKernel, supply_drag
 from .model import MarketSpec, constant_beliefs, validate
 from .util import write_csv
 
-__all__ = ["RunConfig", "ConfigError", "main"]
+__all__ = ["ConfigError", "main"]
 
-_SECTION_KEYS = {
-    "model": {"beliefs", "payoff", "costs", "supply", "allocations", "horizon"},
-    "numerics": {"grid", "ode_steps", "mc", "seed", "x_eval", "refine"},
+# Every config key: a set lists a mapping's keys, a dict of sets a typed mapping's
+# keys by its `type`, any other dict each key's own entry (None: not a mapping).
+_SCHEMA = {
+    "model": {"beliefs": {"ou": {"kappas", "mean", "sigma"}, "constant": {"drifts", "vols"}},
+              "payoff": {"identity": set(), "constant": {"value"}, "polynomial": {"coeffs"}},
+              "costs": {"gamma", "lambda"}, "supply": None, "allocations": None,
+              "horizon": None},
+    "numerics": {"grid": {"x_min", "x_max", "nx", "nt"}, "mc": {"paths", "steps"},
+                 "ode_steps": None, "seed": None, "x_eval": None, "refine": None},
     "output": {"directory"},
 }
-# the keys of the beliefs and of the payoff mappings, by type
-_BELIEF_KEYS = {"ou": {"kappas", "mean", "sigma"}, "constant": {"drifts", "vols"}}
-_PAYOFF_KEYS = {"identity": set(), "constant": {"value"}, "polynomial": {"coeffs"}}
 
 
 class ConfigError(ValueError):
     """Malformed or incomplete run configuration."""
 
 
-@dataclass
-class RunConfig:
-    model: dict
-    numerics: dict
-    output: dict
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
+def _config(path, overrides, seed) -> dict:
+    """The config file at ``path`` with the ``--set`` pairs and ``--seed`` applied, keys checked."""
+    try:
+        with open(path) as fh:
+            cfg = yaml.safe_load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}")
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}")
+    if not isinstance(cfg, dict) or not cfg:
+        raise ConfigError(f"{path}: config must be a mapping with model/numerics/output")
+    for name in _SCHEMA:  # a section left empty reads as null
+        cfg[name] = cfg.get(name) or {}
+    if seed is not None:
+        overrides = [*overrides, f"numerics.seed={seed}"]
+    for pair in overrides:
+        if "=" not in pair:
+            raise ConfigError(f"--set needs section.key=value, got {pair!r}")
+        dotted, value = pair.split("=", 1)
+        *parents, key = dotted.split(".")
+        node = cfg
+        for p in parents:
+            node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {dotted}: '{p}' is not a mapping")
         try:
-            with open(path) as fh:
-                raw = yaml.safe_load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
+            node[key] = yaml.safe_load(value)
         except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}")
-        if not isinstance(raw, dict) or not raw:
-            raise ConfigError(f"{path}: config must be a mapping with model/numerics/output")
-        unknown = set(raw) - set(_SECTION_KEYS)
-        if unknown:
-            raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
-        sections = {
-            name: dict(_mapping(raw.get(name, {}) or {}, f"section '{name}' of {path}", keys))
-            for name, keys in _SECTION_KEYS.items()}
-        return cls(model=sections["model"], numerics=sections["numerics"],
-                   output=sections["output"])
-
-    def apply_overrides(self, pairs) -> None:
-        for pair in pairs:
-            if "=" not in pair:
-                raise ConfigError(f"--set needs section.key=value, got {pair!r}")
-            dotted, value = pair.split("=", 1)
-            parts = dotted.split(".")
-            if len(parts) < 2 or parts[0] not in _SECTION_KEYS:
-                raise ConfigError(f"--set key must start with a section name: {pair!r}")
-            if parts[1] not in _SECTION_KEYS[parts[0]]:
-                raise ConfigError(f"unknown key '{parts[1]}' in section '{parts[0]}'")
-            node = getattr(self, parts[0])
-            for p in parts[1:-1]:
-                node = node.setdefault(p, {})
-                if not isinstance(node, dict):
-                    raise ConfigError(f"--set {dotted}: '{p}' is not a mapping")
-            try:
-                node[parts[-1]] = yaml.safe_load(value)
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"--set {dotted}: cannot parse {value!r}: {exc}")
+            raise ConfigError(f"--set {dotted}: cannot parse {value!r}: {exc}")
+    _check(cfg, _SCHEMA, "")
+    return cfg
 
 
-def _mapping(value, where: str, keys) -> dict:
-    """``value``, which must be a mapping with no key outside ``keys``."""
+def _check(value, keys, path: str) -> None:
+    """Refuse a key of the mapping ``value``, at any depth, that its _SCHEMA entry ``keys`` lacks."""
+    where = f"section '{path}'" if path in _SCHEMA else path or "the config"
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    if isinstance(keys, dict) and all(isinstance(k, set) for k in keys.values()):
+        # a typed mapping; only the payoff has a default type
+        kind = value.get("type", "identity" if "identity" in keys else None)
+        if not isinstance(kind, str) or kind not in keys:
+            raise ConfigError(f"unknown {where} type {kind!r}")
+        keys, where = keys[kind] | {"type"}, f"{where} of type {kind!r}"
     unknown = set(value) - set(keys)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    return value
-
-
-def _typed(value, where: str, keys: dict, default=None) -> str:
-    """The ``type`` of the mapping ``value``, whose other keys must be that type's in ``keys``."""
-    kind = _mapping(value, where, {"type"}.union(*keys.values())).get("type", default)
-    if kind not in keys:
-        raise ConfigError(f"unknown {where} type {kind!r}")
-    _mapping(value, f"{where} of type {kind!r}", keys[kind] | {"type"})
-    return kind
+    if isinstance(keys, dict):
+        for key, entry in keys.items():
+            if entry is not None and key in value:
+                _check(value[key], entry, f"{path}.{key}" if path else key)
 
 
 def _payoff_from(cfg: dict):
     """(payoff callable, payoff type) of the model section; its numbers must be finite."""
-    spec = cfg.get("payoff", {"type": "identity"})
-    kind = _typed(spec, "model.payoff", _PAYOFF_KEYS, default="identity")
+    spec = cfg.get("payoff", {})
+    kind = spec.get("type", "identity")
     if kind == "identity":
         return lambda x: np.asarray(x, dtype=float) + 0.0, kind
     if kind == "constant":
@@ -128,30 +118,29 @@ def _payoff_from(cfg: dict):
     return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs), kind
 
 
-def _build(cfg: RunConfig):
-    """(spec, beliefs, grid, numerics, payoff type) of a config.
+def _build(cfg: dict):
+    """(spec, beliefs, grid, numerics, payoff type) of a config whose keys _check passed.
 
-    The one place that reads the model and numerics sections: a missing or
-    unknown key or a value of the wrong type raises ConfigError, as does an
-    input that its constructor rejects or a market that fails ``validate``.
+    The one place that reads the model and numerics sections: a missing key
+    or a value of the wrong type raises ConfigError, as does an input that
+    its constructor rejects or a market that fails ``validate``.
     """
     try:
         return _read(cfg)
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc}") from None
-    except (TypeError, AttributeError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"malformed config value: {exc}") from None
 
 
-def _read(cfg: RunConfig):
-    m = cfg.model
+def _read(cfg: dict):
+    m = cfg["model"]
     horizon = float(m["horizon"])
-    costs = _mapping(m["costs"], "model.costs", {"gamma", "lambda"})
-    kernel = CostKernel(gamma=float(costs["gamma"]), lam=float(costs["lambda"]),
+    kernel = CostKernel(gamma=float(m["costs"]["gamma"]), lam=float(m["costs"]["lambda"]),
                         horizon_T=horizon)
 
     bel = m["beliefs"]
-    if _typed(bel, "model.beliefs", _BELIEF_KEYS) == "ou":
+    if bel["type"] == "ou":
         beliefs = oumod.ou_beliefs(oumod.OuModel(
             kappas=tuple(float(k) for k in bel["kappas"]), mean_X=float(bel["mean"]),
             sigma=float(bel["sigma"]), horizon_T=horizon))
@@ -168,8 +157,8 @@ def _read(cfg: RunConfig):
                       allocations=tuple(float(a) for a in allocations),
                       payoff=payoff)
 
-    n = cfg.numerics
-    gcfg = _mapping(n.get("grid", {}), "numerics.grid", {"x_min", "x_max", "nx", "nt"})
+    n = cfg["numerics"]
+    gcfg = n.get("grid", {})
     if gcfg:
         grid = pde.Grid1D(x_min=float(gcfg["x_min"]), x_max=float(gcfg["x_max"]),
                           nx=_integer(gcfg, "nx", pde.GRID_NX, "numerics.grid"),
@@ -183,7 +172,7 @@ def _read(cfg: RunConfig):
     if not report.ok:
         raise ConfigError(f"invalid model: {report}")
 
-    mc = _mapping(n.get("mc", {}), "numerics.mc", {"paths", "steps"})
+    mc = n.get("mc", {})
     num = {
         "ode_steps": _integer(n, "ode_steps", 3000, "numerics"),
         "seed": _integer(n, "seed", 3, "numerics"),
@@ -236,7 +225,7 @@ def _write_json(path, obj) -> None:
 # Each command takes (config, output directory, parsed arguments) and returns
 # (files written, verdict): the verdict is None for commands without checks.
 
-def cmd_ou_solve(cfg: RunConfig, out: Path, args) -> tuple:
+def cmd_ou_solve(cfg: dict, out: Path, args) -> tuple:
     spec, beliefs, _, num, payoff_type = _build(cfg)
     m = _require_ou(beliefs, payoff_type, "ou-solve")
     ab = oumod.solve_ab(m, spec.kernel, n_steps=num["ode_steps"], supply_a0=spec.supply_a0)
@@ -245,7 +234,7 @@ def cmd_ou_solve(cfg: RunConfig, out: Path, args) -> tuple:
     return [path], None
 
 
-def cmd_pde_solve(cfg: RunConfig, out: Path, args) -> tuple:
+def cmd_pde_solve(cfg: dict, out: Path, args) -> tuple:
     spec, beliefs, grid, _, _ = _build(cfg)
     sol = pde.solve_equilibrium(spec, beliefs, grid)
     path = out / "equilibrium.csv"
@@ -281,7 +270,7 @@ def _write_sweeps(spec, m, num, out: Path) -> list:
     return [p_lam, p_gam]
 
 
-def cmd_asymptotics(cfg: RunConfig, out: Path, args) -> tuple:
+def cmd_asymptotics(cfg: dict, out: Path, args) -> tuple:
     spec, beliefs, grid, num, payoff_type = _build(cfg)
     m = _ode_model(beliefs, payoff_type)
     # the sweeps run first, so costs too extreme for the ODE fail before the PDE work
@@ -296,7 +285,7 @@ def cmd_asymptotics(cfg: RunConfig, out: Path, args) -> tuple:
     return files + sweeps, None
 
 
-def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
+def _verify_report(cfg: dict, sabotage: bool) -> dict:
     spec, beliefs, grid, num, payoff_type = _build(cfg)
     T = spec.horizon_T
     x0 = num["x_eval"]
@@ -352,14 +341,14 @@ def _verify_report(cfg: RunConfig, sabotage: bool) -> dict:
     return {"passed": passed, "sabotage": sabotage, "checks": checks}
 
 
-def cmd_verify(cfg: RunConfig, out: Path, args) -> tuple:
+def cmd_verify(cfg: dict, out: Path, args) -> tuple:
     report = _verify_report(cfg, args.sabotage)
     path = out / "verify_report.json"
     _write_json(path, report)
     return [path], report["passed"]
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, args) -> tuple:
+def cmd_simulate(cfg: dict, out: Path, args) -> tuple:
     spec, beliefs, _, num, _ = _build(cfg)
     rows = []
     files = []
@@ -383,14 +372,12 @@ def cmd_simulate(cfg: RunConfig, out: Path, args) -> tuple:
 def cmd_calibrate(cfg, out: Path, args) -> tuple:
     """Fit the OU parameters to ``--csv`` (default: the packaged USD/EUR series)."""
     csv_path = args.csv or str(package_files("illiquid_eq").joinpath("data/dexuseu_2009_2019.csv"))
-    est = cal.estimate_ou(cal.ingest_csv(csv_path), max_lag=args.max_lag)
     path = out / "calibration.json"
-    _write_json(path, {"kappa_bar": est.kappa_bar, "mean_X": est.mean_X, "sigma": est.sigma,
-                       "diagnostics": est.diagnostics, "source": str(csv_path)})
+    _write_json(path, cal.calibrate(csv_path))
     return [path], None
 
 
-def cmd_figures(cfg: RunConfig, out: Path, args) -> tuple:
+def cmd_figures(cfg: dict, out: Path, args) -> tuple:
     spec, beliefs, _, num, payoff_type = _build(cfg)
     m = _require_ou(beliefs, payoff_type, "figures")
     x = num["x_eval"]
@@ -458,7 +445,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override numerics.seed")
     parser.add_argument("--csv", default=None, help="input series for 'calibrate'")
-    parser.add_argument("--max-lag", type=int, default=60)
     parser.add_argument("--sabotage", action="store_true",
                         help="misscale the trading rate by 1.5 (verify must then fail)")
     parser.add_argument("--dump-paths", action="store_true")
@@ -467,13 +453,9 @@ def main(argv=None) -> int:
         parser.error(f"'{args.command}' requires --config")
 
     try:
-        cfg = None
-        if args.command != "calibrate":
-            cfg = RunConfig.from_file(args.config)
-            cfg.apply_overrides(args.overrides)
-            if args.seed is not None:
-                cfg.numerics["seed"] = args.seed
-        directory = args.out or (cfg.output.get("directory", "out") if cfg else "out")
+        cfg = None if args.command == "calibrate" else _config(args.config, args.overrides,
+                                                               args.seed)
+        directory = args.out or (cfg["output"].get("directory", "out") if cfg else "out")
         if not isinstance(directory, str):
             raise ConfigError(f"output.directory must be a path, got {directory!r}")
         out = Path(directory)

@@ -317,6 +317,10 @@ def test_constant_payoff_has_zero_corrections(config, tmp_path):
     "model.horizon=.inf",
     "numerics.grid.x_max=.inf",
     "model.beliefs={type: ou, kappas: [], mean: 1, sigma: 0.1}",
+    "model.beliefs={type: [1]}",               # an unhashable type
+    "model=5",                                 # a section that is not a mapping
+    "foo.bar=1",                               # an unknown section
+    "output=null",
 ])
 def test_malformed_config_is_input_error(config, tmp_path, capsys, override):
     code = main(["verify", "--config", str(config), "--out", str(tmp_path / "out"),
@@ -444,7 +448,7 @@ def test_output_formats_is_unknown_key(config, tmp_path, capsys):
     config.write_text(OU_FX)
     assert main(["pde-solve", "--config", str(config), "--out", str(out),
                  "--set", "output.formats=[csv]"]) == 2
-    assert "unknown key 'formats' in section 'output'" in capsys.readouterr().err
+    assert "unknown key(s) ['formats'] in section 'output'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -493,12 +497,39 @@ def test_calibrate_rejects_unusable_series(tmp_path, capsys):
         assert message in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("max_lag", ["0", "-3"])
-def test_calibrate_rejects_nonpositive_max_lag(tmp_path, capsys, max_lag):
-    code = main(["calibrate", "--max-lag", max_lag, "--out", str(tmp_path / "out")])
-    assert code == 2
+def _series(values, dates=None) -> str:
+    """A daily-quote CSV of ``values``, on consecutive days unless ``dates`` are given."""
+    dates = dates or [str(np.datetime64("2010-01-01") + k) for k in range(len(values))]
+    return "DATE,DEXUSEU\n" + "".join(f"{d},{v}\n" for d, v in zip(dates, values))
+
+
+def _calibrate(tmp_path, text):
+    """Exit code of ``calibrate`` on a CSV holding ``text``, with numpy warnings as errors."""
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["calibrate", "--csv", str(path), "--out", str(tmp_path / "out")]), path
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "{path}: empty file"),
+    ("DATE,DEXUSEU\n2010-01-01,1.0\n2010-01-02\n", "{path}:3: malformed row"),
+    (_series([1.0, "abc"]), "{path}:3: non-numeric value 'abc'"),
+    (_series(["."] * 5), "{path}: no usable observations"),
+    (_series([1.0, 1.1, 1.2], ["2010-01-01", "2010-01-03", "2010-01-02"]),
+     "dates must be strictly increasing"),
+    (_series(np.linspace(1.0, 1.5, 99)), "need at least 100 observations"),
+    (_series([1.25] * 120), "zero variance"),
+    (_series([1.0, 2.0] * 60), "window too wide"),
+], ids=["empty", "one-field", "non-numeric", "only-dots", "swapped-dates", "99-rows",
+        "constant", "alternating"])
+def test_calibrate_input_errors(tmp_path, capsys, text, message):
+    code, path = _calibrate(tmp_path, text)
     err = capsys.readouterr().err
-    assert "max_lag must be at least 1" in err and "Traceback" not in err
+    assert code == 2
+    assert err.startswith("error: ") and message.format(path=path) in err
+    assert not any((tmp_path / "out").glob("*"))
 
 
 def test_calibrate_pins_the_packaged_series(tmp_path):
