@@ -58,6 +58,8 @@ def _read(path) -> tuple:
                 values.append(float(raw))
             except ValueError:
                 raise CalibrationError(f"{path}:{lineno}: non-numeric value {raw!r}")
+            if not np.isfinite(values[-1]):
+                raise CalibrationError(f"{path}:{lineno}: non-finite value {raw!r}")
             dates.append(row[0].strip())
     if not values:
         raise CalibrationError(f"{path}: no usable observations")
@@ -75,7 +77,10 @@ def calibrate(path) -> dict:
     x, dropped = _read(path)
     if len(x) < 100:
         raise CalibrationError("need at least 100 observations")
-    var = float(x.var())
+    with np.errstate(all="ignore"):  # finite values whose squares pass the float range
+        var = float(x.var())
+    if not np.isfinite(var):
+        raise CalibrationError("sample variance is not finite: values too large")
     if var <= 0.0:
         raise CalibrationError("zero variance: constant series cannot be calibrated")
     xc = x - x.mean()

@@ -6,8 +6,8 @@ checks every key, at any level, against one table, ``_SCHEMA``, once the
 overrides are applied; ``_build`` reads the values: a missing or unknown
 key, a value of the wrong type or an invalid market is a ``ConfigError``.
 Each command is one entry of ``COMMANDS``.  Exit codes: 0 success, 1
-verification failure, 2 input error (every ``ValueError``, with a message
-and no traceback).
+verification failure, 2 input error (every ``ValueError`` and ``OSError``,
+with a message and no traceback).
 """
 
 from __future__ import annotations
@@ -461,8 +461,9 @@ def main(argv=None) -> int:
         out = Path(directory)
         out.mkdir(parents=True, exist_ok=True)
         files, verdict = COMMANDS[args.command](cfg, out, args)
-    except (ValueError, FileNotFoundError) as exc:
-        # ConfigError, CalibrationError and the solvers' errors are ValueErrors
+    except (ValueError, OSError) as exc:
+        # ConfigError, CalibrationError and the solvers' errors are ValueErrors;
+        # an OSError is an input path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for f in files:

@@ -532,6 +532,35 @@ def test_calibrate_input_errors(tmp_path, capsys, text, message):
     assert not any((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("value, message", [
+    ("nan", "{path}:11: non-finite value 'nan'"),
+    ("inf", "{path}:11: non-finite value 'inf'"),
+    ("-inf", "{path}:11: non-finite value '-inf'"),
+    ("1e308", "sample variance is not finite"),
+], ids=["nan", "inf", "-inf", "1e308"])
+def test_calibrate_refuses_non_finite_values(tmp_path, capsys, value, message):
+    # nan read as "no usable lags", and inf or a square past the float range
+    # warned first, which under -W error was a traceback
+    values = [f"{1.2 + 0.05 * np.sin(k / 30):.6f}" for k in range(150)]
+    assert _calibrate(tmp_path, _series(values))[0] == 0
+    values[9] = value  # line 11: the header, then rows 0..9
+    code, path = _calibrate(tmp_path, _series(values))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message.format(path=path) in err
+
+
+@pytest.mark.parametrize("args", [
+    ["pde-solve", "--config", "{tmp}", "--out", "{tmp}/out"],
+    ["calibrate", "--csv", "{tmp}", "--out", "{tmp}/out"],
+    ["ou-solve", "--config", "{config}", "--out", "{config}"],
+], ids=["config-is-a-directory", "csv-is-a-directory", "out-is-a-file"])
+def test_unusable_path_is_input_error(config, tmp_path, capsys, args):
+    assert main([a.format(tmp=tmp_path, config=config) for a in args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert config.read_text() == OU_FX
+
+
 def test_calibrate_pins_the_packaged_series(tmp_path):
     out = tmp_path / "out"
     assert main(["calibrate", "--out", str(out)]) == 0
