@@ -59,7 +59,7 @@ def _config(path, overrides, seed) -> dict:
         raise ConfigError(f"cannot parse {path}: {exc}")
     if not isinstance(cfg, dict) or not cfg:
         raise ConfigError(f"{path}: config must be a mapping with model/numerics/output")
-    for name in _SCHEMA:  # a section left empty reads as null
+    for name in _SCHEMA:  # YAML reads a section left empty as null
         cfg[name] = cfg.get(name) or {}
     if seed is not None:
         overrides = [*overrides, f"numerics.seed={seed}"]
@@ -86,7 +86,7 @@ def _check(value, keys, path: str) -> None:
     where = f"section '{path}'" if path in _SCHEMA else path or "the config"
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a mapping, got {value!r}")
-    if isinstance(keys, dict) and all(isinstance(k, set) for k in keys.values()):
+    if isinstance(keys, dict) and all(isinstance(entry, set) for entry in keys.values()):
         # a typed mapping; only the payoff has a default type
         kind = value.get("type", "identity" if "identity" in keys else None)
         if not isinstance(kind, str) or kind not in keys:

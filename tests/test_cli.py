@@ -503,6 +503,12 @@ def _series(values, dates=None) -> str:
     return "DATE,DEXUSEU\n" + "".join(f"{d},{v}\n" for d, v in zip(dates, values))
 
 
+def _with_line_11(value) -> str:
+    """A smooth series, which calibrates, with ``value`` on line 11 (the header, then rows 0..9)."""
+    values = [f"{1.2 + 0.05 * np.sin(k / 30):.6f}" for k in range(150)]
+    return _series(values[:9] + [value] + values[10:])
+
+
 def _calibrate(tmp_path, text):
     """Exit code of ``calibrate`` on a CSV holding ``text``, with numpy warnings as errors."""
     path = tmp_path / "series.csv"
@@ -522,32 +528,19 @@ def _calibrate(tmp_path, text):
     (_series(np.linspace(1.0, 1.5, 99)), "need at least 100 observations"),
     (_series([1.25] * 120), "zero variance"),
     (_series([1.0, 2.0] * 60), "window too wide"),
+    (_with_line_11("nan"), "{path}:11: non-finite value 'nan'"),
+    (_with_line_11("inf"), "{path}:11: non-finite value 'inf'"),
+    (_with_line_11("-inf"), "{path}:11: non-finite value '-inf'"),
+    (_with_line_11("1e308"), "sample variance is not finite"),
 ], ids=["empty", "one-field", "non-numeric", "only-dots", "swapped-dates", "99-rows",
-        "constant", "alternating"])
+        "constant", "alternating", "nan", "inf", "-inf", "1e308"])
 def test_calibrate_input_errors(tmp_path, capsys, text, message):
+    # numpy warnings are errors here: a value is refused before it can warn
     code, path = _calibrate(tmp_path, text)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and message.format(path=path) in err
     assert not any((tmp_path / "out").glob("*"))
-
-
-@pytest.mark.parametrize("value, message", [
-    ("nan", "{path}:11: non-finite value 'nan'"),
-    ("inf", "{path}:11: non-finite value 'inf'"),
-    ("-inf", "{path}:11: non-finite value '-inf'"),
-    ("1e308", "sample variance is not finite"),
-], ids=["nan", "inf", "-inf", "1e308"])
-def test_calibrate_refuses_non_finite_values(tmp_path, capsys, value, message):
-    # nan read as "no usable lags", and inf or a square past the float range
-    # warned first, which under -W error was a traceback
-    values = [f"{1.2 + 0.05 * np.sin(k / 30):.6f}" for k in range(150)]
-    assert _calibrate(tmp_path, _series(values))[0] == 0
-    values[9] = value  # line 11: the header, then rows 0..9
-    code, path = _calibrate(tmp_path, _series(values))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and message.format(path=path) in err
 
 
 @pytest.mark.parametrize("args", [
