@@ -1,7 +1,7 @@
 """Mean-reversion parameter estimation from daily FX time series.
 
 Reads CSV in the daily-quote format used by the St. Louis Fed's download
-files (header row, date and value columns, missing values encoded as ".").
+files (header row, ISO date and value columns, missing values encoded as ".").
 Estimation matches the first two stationary moments and fits the
 log-autocorrelation function by ordinary least squares through the origin:
 slope = -kappa * SPACING_DT, the sample mean gives the level, and
@@ -11,6 +11,7 @@ sigma = sqrt(2 * kappa * sample variance).
 from __future__ import annotations
 
 import csv
+from datetime import date
 
 import numpy as np
 
@@ -32,8 +33,8 @@ class CalibrationError(ValueError):
 def _read(path) -> tuple:
     """(values, number of "." missing markers dropped) of a two-column daily-quote CSV.
 
-    Raises with the line number on a malformed row or value, and if the dates
-    do not strictly increase or nothing usable remains.
+    Raises with the line number on a malformed row, date or value, and if the
+    dates, read as ISO dates, do not strictly increase or nothing usable remains.
     """
     dates, values = [], []
     dropped = 0
@@ -50,6 +51,11 @@ def _read(path) -> tuple:
                 continue
             if len(row) < 2:
                 raise CalibrationError(f"{path}:{lineno}: malformed row {row!r}")
+            try:
+                day = date.fromisoformat(row[0].strip())
+            except ValueError:
+                raise CalibrationError(f"{path}:{lineno}: date {row[0].strip()!r} is not an "
+                                       f"ISO date (YYYY-MM-DD)") from None
             raw = row[1].strip()
             if raw == ".":
                 dropped += 1
@@ -60,7 +66,7 @@ def _read(path) -> tuple:
                 raise CalibrationError(f"{path}:{lineno}: non-numeric value {raw!r}")
             if not np.isfinite(values[-1]):
                 raise CalibrationError(f"{path}:{lineno}: non-finite value {raw!r}")
-            dates.append(row[0].strip())
+            dates.append(day)
     if not values:
         raise CalibrationError(f"{path}: no usable observations")
     if any(b <= a for a, b in zip(dates, dates[1:])):

@@ -27,7 +27,7 @@ from . import ou as oumod
 from . import pde, portfolio, simulate, svgplot
 from .kernel import CostKernel, supply_drag
 from .model import MarketSpec, constant_beliefs, validate
-from .util import write_csv
+from .util import fork_call, write_csv
 
 __all__ = ["ConfigError", "main"]
 
@@ -94,7 +94,8 @@ def _check(value, keys, path: str) -> None:
         keys, where = keys[kind] | {"type"}, f"{where} of type {kind!r}"
     unknown = set(value) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        # by repr: YAML keys may mix types, such as 'foo' and 1, which do not compare
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=repr)} in {where}")
     if isinstance(keys, dict):
         for key, entry in keys.items():
             if entry is not None and key in value:
@@ -271,13 +272,26 @@ def _write_sweeps(spec, m, num, out: Path) -> list:
 
 
 def cmd_asymptotics(cfg: dict, out: Path, args) -> tuple:
+    """The trading-cost chain in a forked child; the sweeps, then hc_correction, here.
+
+    Errors keep the sequential order: a sweep's (costs too extreme for the
+    ODE) first, then the trading-cost chain's, then hc_correction's.
+    """
     spec, beliefs, grid, num, payoff_type = _build(cfg)
     m = _ode_model(beliefs, payoff_type)
-    # the sweeps run first, so costs too extreme for the ODE fail before the PDE work
-    sweeps = _write_sweeps(spec, m, num, out) if m is not None else []
+
+    def sweeps_then_hc():
+        sweeps = _write_sweeps(spec, m, num, out) if m is not None else []
+        try:
+            return sweeps, asy.hc_correction(spec, beliefs, grid), None
+        except Exception as exc:  # raised below, after the child's error if it has one
+            return sweeps, None, exc
+
+    tc, (sweeps, hc, hc_error) = fork_call(
+        lambda: asy.tc_correction(spec, beliefs, grid, refine=num["refine"]), sweeps_then_hc)
+    if hc_error is not None:
+        raise hc_error
     files = []
-    tc = asy.tc_correction(spec, beliefs, grid, refine=num["refine"])
-    hc = asy.hc_correction(spec, beliefs, grid)
     for surf, name in ((tc, "tc_correction.csv"), (hc, "hc_correction.csv")):
         p = out / name
         surf.to_csv(p)

@@ -17,7 +17,9 @@ affine solutions.  Beliefs are evaluated on a grid in one place,
 ``_coefficients``, one call of each belief per time level; the march, a
 surface's agent drift grids (computed on first read) and the trading-cost
 source all read them from there.  Every value, agent value and agent drift
-is one bilinear read of a node grid.
+is one bilinear read of a node grid.  A surface's CSV table is formatted on
+two CPUs, half its time levels each, and so is held in memory as two strings
+(``util.write_csv``).
 """
 
 from __future__ import annotations
@@ -107,12 +109,22 @@ def _interp2(ts, xs, F, tq, xq):
     """Bilinear interpolation of F, indexed (..., t, x), at (tq, xq) on a uniform grid.
 
     Clamps in t, infinite times included; extrapolates linearly in x beyond
-    the edges, consistent with the zero-curvature boundary condition.  A NaN
-    t or x gives NaN.  Needs at least 2 time levels.
+    the edges, consistent with the zero-curvature boundary condition, so an
+    infinite x reads +-inf by the sign of the edge cell's slope, or the edge
+    value where that cell is flat.  A NaN t or x gives NaN.  Needs at least 2
+    time levels.
     """
     tq = np.asarray(tq, dtype=float)
     xq = np.asarray(xq, dtype=float)
     dt, h = _step(ts), _step(xs)
+    far = np.isinf(xq)
+    if far.any():
+        # read at the edge and one step beyond it: the limit is the edge value
+        # plus inf times their difference, without the inf - inf of the weights
+        edge = np.where(far, np.where(xq > 0, xs[-1], xs[0]), xq)
+        near = _interp2(ts, xs, F, tq, edge)
+        slope = _interp2(ts, xs, F, tq, edge + np.where(far, np.sign(xq) * h, 0.0)) - near
+        return np.where(np.abs(slope) > 0, np.copysign(np.inf, slope), near)
     # clamped before the cast; fmax takes a NaN coordinate to cell 0, where its weight stays NaN
     it = np.fmin(np.fmax((tq - ts[0]) / dt, 0.0), len(ts) - 2).astype(int)
     wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0)
@@ -319,12 +331,21 @@ class GridSurface:
     def _write_csv(self, path, header, fields) -> None:
         """One row per (t, x) node: t, x, then each (nt, nx) field at the node.
 
-        Each grid time and each x node is formatted once, as a text cell.
+        Each grid time and each x node is formatted once, as a text cell.  The
+        first half of the time levels, the larger for an odd count, is
+        formatted in a forked child while this process formats the second.
         """
         x_text = [FLOAT_FORMAT % x for x in self.xs.tolist()]
-        write_csv(path, header, chain.from_iterable(
-            zip(repeat(FLOAT_FORMAT % t, len(x_text)), x_text, *(f[m].tolist() for f in fields))
-            for m, t in enumerate(self.ts.tolist())))
+        ts = self.ts.tolist()
+
+        def rows(levels):
+            return chain.from_iterable(
+                zip(repeat(FLOAT_FORMAT % ts[m], len(x_text)), x_text,
+                    *(f[m].tolist() for f in fields))
+                for m in levels)
+
+        half = (len(ts) + 1) // 2
+        write_csv(path, header, rows(range(half)), rows(range(half, len(ts))))
 
 
 @dataclass

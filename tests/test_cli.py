@@ -1,12 +1,14 @@
 """Command line: exit codes on degenerate markets and the files each command writes."""
 
 import json
+import os
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from illiquid_eq import asymptotics as asy
 from illiquid_eq import pde
 from illiquid_eq.cli import COMMANDS, main
 from illiquid_eq.kernel import CostKernel
@@ -151,7 +153,8 @@ def test_ode_blowup_is_input_error(config, tmp_path, capsys):
 
 def test_asymptotics_step_bound_is_input_error(config, tmp_path, capsys):
     # the lambda sweep would ask for 50 a T = 75.9M RK4 steps at lambda = 1e-9/256;
-    # the bound rejects that before any sweep or PDE work is done
+    # the bound rejects that before any sweep is solved, and the trading-cost
+    # chain, which a forked child has begun, is killed and writes nothing
     out = tmp_path / "out"
     t0 = time.perf_counter()
     code = main(["asymptotics", "--config", str(config), "--out", str(out),
@@ -161,6 +164,51 @@ def test_asymptotics_step_bound_is_input_error(config, tmp_path, capsys):
     assert code == 2
     assert "n_steps=75894663 exceeds 200000" in err and "lambda=3.90625e-12" in err
     assert list(out.iterdir()) == []
+
+
+# a degree-20 payoff on 7 nodes: the trading-cost chain refuses it as rough
+ROUGH = ["--set", f"model.payoff={{type: polynomial, coeffs: {[0.0] * 20 + [1.0]}}}",
+         "--set", "numerics.grid={x_min: 0.53, x_max: 1.97, nx: 7, nt: 11}",
+         "--set", "numerics.refine=1"]
+
+
+def _failing(message):
+    def fail(*args, **kwargs):
+        raise ValueError(message)
+    return fail
+
+
+@pytest.mark.parametrize("case", ["sweeps", "tc", "hc"])
+def test_asymptotics_errors_keep_the_sequential_order(config, tmp_path, capsys, monkeypatch,
+                                                      case):
+    # the trading-cost chain runs in a forked child, the sweeps and then
+    # hc_correction here; the first error in the order sweeps, tc, hc is the
+    # one reported, and no child is left unreaped
+    monkeypatch.setattr(asy, "hc_correction", _failing("hc failed"))
+    args, message, files = {
+        "sweeps": ([*SMALL, *EXTREME_COSTS], "n_steps=75894663 exceeds 200000", []),
+        "tc": (ROUGH, "grid-scale oscillation dominates", []),
+        "hc": (SMALL, "hc failed", ["gamma_sweep.csv", "lambda_sweep.csv"]),
+    }[case]
+    if case == "sweeps":
+        monkeypatch.setattr(asy, "tc_correction", _failing("tc failed"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["asymptotics", "--config", str(config), "--out", str(out), *args])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == files
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_asymptotics_leaves_no_child(config, tmp_path):
+    assert main(["asymptotics", "--config", str(config), "--out", str(tmp_path / "out"),
+                 *SMALL]) == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _cells(path):
@@ -452,6 +500,16 @@ def test_output_formats_is_unknown_key(config, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_keys_of_mixed_types_are_input_error(config, tmp_path, capsys):
+    # YAML reads `1: 2` as an int key, which does not sort with a str key
+    config.write_text(OU_FX + "foo: 1\n1: 2\n")
+    out = tmp_path / "out"
+    assert main(["pde-solve", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown key(s) ['foo', 1] in the config" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_zero_cost_is_input_error(config, tmp_path, capsys):
     code = main(["pde-solve", "--config", str(config), "--out", str(tmp_path / "out"),
                  "--set", "model.costs={gamma: 0.0, lambda: 1.0e-7}"])
@@ -525,6 +583,9 @@ def _calibrate(tmp_path, text):
     (_series(["."] * 5), "{path}: no usable observations"),
     (_series([1.0, 1.1, 1.2], ["2010-01-01", "2010-01-03", "2010-01-02"]),
      "dates must be strictly increasing"),
+    (_series(np.linspace(1.0, 1.5, 150),   # US dates from 12/01/2009, across the year end
+             [(np.datetime64("2009-12-01") + k).item().strftime("%m/%d/%Y") for k in range(150)]),
+     "{path}:2: date '12/01/2009' is not an ISO date (YYYY-MM-DD)"),
     (_series(np.linspace(1.0, 1.5, 99)), "need at least 100 observations"),
     (_series([1.25] * 120), "zero variance"),
     (_series([1.0, 2.0] * 60), "window too wide"),
@@ -532,8 +593,8 @@ def _calibrate(tmp_path, text):
     (_with_line_11("inf"), "{path}:11: non-finite value 'inf'"),
     (_with_line_11("-inf"), "{path}:11: non-finite value '-inf'"),
     (_with_line_11("1e308"), "sample variance is not finite"),
-], ids=["empty", "one-field", "non-numeric", "only-dots", "swapped-dates", "99-rows",
-        "constant", "alternating", "nan", "inf", "-inf", "1e308"])
+], ids=["empty", "one-field", "non-numeric", "only-dots", "swapped-dates", "us-dates",
+        "99-rows", "constant", "alternating", "nan", "inf", "-inf", "1e308"])
 def test_calibrate_input_errors(tmp_path, capsys, text, message):
     # numpy warnings are errors here: a value is refused before it can warn
     code, path = _calibrate(tmp_path, text)

@@ -487,16 +487,21 @@ def test_interp2_stacked_surfaces_match_one_at_a_time():
 @pytest.mark.parametrize("tq, at", [(-np.inf, 0), (-0.3, 0), (1.4, -1), (np.inf, -1)])
 def test_interp2_clamps_time(tq, at):
     # a time outside [0, T], infinite included, reads the edge level, a scalar
-    # time and an array of it alike, with x beyond both edges extrapolated
+    # time and an array of it alike, with x beyond both edges extrapolated;
+    # an infinite x reads the extrapolation's limit: +-inf where the edge cell
+    # slopes (the left edge), its value where it is flat (the right edge)
     ts, xs = np.linspace(0.0, 1.0, 11), np.linspace(0.5, 2.0, 9)
     F = np.random.default_rng(2).random((len(ts), len(xs)))
+    F[:, -1] = F[:, -2]
     xq = np.array([0.2, 0.5, 1.37, 2.6])
     j = np.array([0, 0, 4, 7])
     w = (xq - xs[j]) / (xs[1] - xs[0])
     want = (1 - w) * F[at, j] + w * F[at, j + 1]
+    xq = np.concatenate([xq, [-np.inf, np.inf]])
+    want = np.concatenate([want, [np.copysign(np.inf, F[at, 0] - F[at, 1]), F[at, -1]]])
     with np.errstate(all="raise"):
         got = _interp2(ts, xs, F, tq, xq)
-        assert np.array_equal(_interp2(ts, xs, F, np.full(4, tq), xq), got)
+        assert np.array_equal(_interp2(ts, xs, F, np.full(len(xq), tq), xq), got)
     assert got == pytest.approx(want, rel=1e-12)
 
 
