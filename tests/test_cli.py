@@ -204,13 +204,6 @@ def test_asymptotics_errors_keep_the_sequential_order(config, tmp_path, capsys, 
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_asymptotics_leaves_no_child(config, tmp_path):
-    assert main(["asymptotics", "--config", str(config), "--out", str(tmp_path / "out"),
-                 *SMALL]) == 0
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _cells(path):
     lines = path.read_text().splitlines()
     return [line.split(",") for line in lines[1:]]
@@ -538,6 +531,8 @@ def test_every_command_writes_the_files_it_prints(config, tmp_path, capsys, comm
     if command == "simulate":
         args.append("--dump-paths")
     assert main(args) == 0
+    with pytest.raises(ChildProcessError):   # no forked child is left unreaped
+        os.waitpid(-1, os.WNOHANG)
     printed = capsys.readouterr().out.splitlines()
     if command == "verify":
         assert printed.pop() == "verification passed"

@@ -133,7 +133,8 @@ def test_fork_call_child_flushes_nothing_and_runs_no_atexit_handler():
             "sys.stdout.write('before\\n')\n"
             "print(fork_call(lambda: 1, lambda: 2))\n")
     src = str(Path(util.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
                           text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
