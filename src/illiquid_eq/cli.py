@@ -260,8 +260,7 @@ def _write_sweeps(spec, m, num, out: Path) -> list:
     v0f = oumod.frictionless_price(m, 0.0, x) + drag
     v0r, _ = oumod.risk_neutral_price(m, 0.0, x)
     tc_target = oumod.tc_correction_closed(m, g0, 0.0, x)
-    hc_target = oumod.hc_correction_closed(m, l0, 0.0, x) + drag / g0 \
-        if m.kappas_distinct else float("nan")
+    hc_target = oumod.hc_correction_closed(m, l0, 0.0, x) + drag / g0
     p_lam, p_gam = out / "lambda_sweep.csv", out / "gamma_sweep.csv"
     write_csv(p_lam, ["lambda", "price", "rescaled_gap", "closed_form"],
               [(lam, v, (v - v0f) / np.sqrt(lam), tc_target)
@@ -404,6 +403,7 @@ def cmd_figures(cfg: dict, out: Path, args) -> tuple:
     gamma = spec.kernel.gamma
     price_both = ab.value(ts, x)
     price_no_hc, _ = oumod.risk_neutral_price(m, ts, x)
+    vstar = oumod.hc_correction_closed(m, spec.kernel.lam, ts, x) + drag / gamma
     sig = m.sigma
 
     # (file stem, title, y label, curves of (CSV column, values, legend, line style))
@@ -419,12 +419,9 @@ def cmd_figures(cfg: dict, out: Path, args) -> tuple:
           ("vol_no_hc", sig * env_hi, "no holding cost", "dashed")]),
         ("fig_error_uncorrected", "Approximation error, zeroth order", "error",
          [("error", price_no_hc - price_both, "risk-neutral minus exact", "solid")]),
+        ("fig_error_corrected", "Approximation error, first order", "error",
+         [("error", price_no_hc + gamma * vstar - price_both, "corrected minus exact", "solid")]),
     ]
-    if m.kappas_distinct:
-        vstar = oumod.hc_correction_closed(m, spec.kernel.lam, ts, x) + drag / gamma
-        figures.append(("fig_error_corrected", "Approximation error, first order", "error",
-                        [("error", price_no_hc + gamma * vstar - price_both,
-                          "corrected minus exact", "solid")]))
     files = []
     for stem, title, ylabel, curves in figures:
         csv_path, svg_path = out / f"{stem}.csv", out / f"{stem}.svg"

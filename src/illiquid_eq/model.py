@@ -74,10 +74,8 @@ def constant_beliefs(drifts: Sequence[float], vols: Sequence[float]) -> BeliefSe
         raise ValueError(f"vols must be finite and positive, got {list(vols)}")
     agents = tuple(
         AgentBelief(
-            drift=lambda t, x, b=float(b): np.broadcast_to(np.float64(b), np.shape(x)).copy()
-            if np.ndim(x) else float(b),
-            vol=lambda t, x, s=float(s): np.broadcast_to(np.float64(s), np.shape(x)).copy()
-            if np.ndim(x) else float(s),
+            drift=lambda t, x, b=float(b): b * np.ones(np.shape(x)),
+            vol=lambda t, x, s=float(s): s * np.ones(np.shape(x)),
         )
         for b, s in zip(drifts, vols)
     )

@@ -71,11 +71,6 @@ class OuModel:
     def kappa_bar(self) -> float:
         return float(np.mean(self.kappas))
 
-    @property
-    def kappas_distinct(self) -> bool:
-        k = sorted(self.kappas)
-        return all(b > a for a, b in zip(k, k[1:]))
-
 
 def ou_beliefs(model: OuModel) -> BeliefSet:
     """Belief set with drift kappa_i*(mean - x) and common constant sigma, carrying ``model``."""
@@ -286,28 +281,26 @@ def tc_correction_closed(model: OuModel, gamma: float, t, x):
 def hc_correction_closed(model: OuModel, lam: float, t, x):
     """Leading-order price correction per unit holding cost, closed form.
 
-    Requires pairwise distinct speeds (the formula divides by kappa_i -
-    kappa_j); with repeated speeds use ``asymptotics.hc_correction``, the
-    PDE march, instead.  The bracket is nonpositive, so the correction has
-    the opposite sign of x - mean.
+    With tau = T - t, (x - mean) tau^2 / (lambda N^2) times the sum over the
+    pairs of speeds kappa_i <= kappa_j of e^{-kappa_i tau} phi1((kappa_j -
+    kappa_i) tau) - (e^{-kappa_i tau} + e^{-kappa_j tau}) / 2, where
+    phi1(z) = (1 - e^{-z}) / z and phi1(0) = 1: the mean of e^{-k tau} over
+    k in [kappa_i, kappa_j] less its trapezoid value.  One formula for every
+    set of speeds: a repeated pair's term is 0.  Each term is nonpositive,
+    so the correction has the opposite sign of x - mean.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    if not model.kappas_distinct:
-        raise ValueError(
-            "repeated mean-reversion speeds: closed form is singular; use "
-            "asymptotics.hc_correction, the PDE march")
     t = np.asarray(t, dtype=float)
     tau = model.horizon_T - t
-    kap = np.asarray(model.kappas)
+    kap = np.sort(model.kappas)
     n = model.n_agents
-    s1 = np.zeros_like(tau)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                s1 = s1 + np.exp(-kap[j] * tau) / (kap[i] - kap[j])
-    s2 = tau * (n - 1) / 2.0 * np.exp(-np.multiply.outer(tau, kap)).sum(axis=-1)
-    return (np.asarray(x, dtype=float) - model.mean_X) * tau / (lam * n * n) * (s1 - s2)
+    i, j = np.triu_indices(n, 1)
+    z = np.multiply.outer(tau, kap[j] - kap[i])
+    phi1 = np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z != 0)
+    e = np.exp(-np.multiply.outer(tau, kap))
+    pairs = (e[..., i] * phi1 - (e[..., i] + e[..., j]) / 2).sum(axis=-1)
+    return (np.asarray(x, dtype=float) - model.mean_X) * tau / (lam * n * n) * (tau * pairs)
 
 
 def volatility_curve(ab: AbSolution, t):

@@ -109,27 +109,30 @@ def _interp2(ts, xs, F, tq, xq):
     """Bilinear interpolation of F, indexed (..., t, x), at (tq, xq) on a uniform grid.
 
     Clamps in t, infinite times included; extrapolates linearly in x beyond
-    the edges, consistent with the zero-curvature boundary condition, so an
-    infinite x reads +-inf by the sign of the edge cell's slope, or the edge
-    value where that cell is flat.  A NaN t or x gives NaN.  Needs at least 2
-    time levels.
+    the edges, consistent with the zero-curvature boundary condition.  A
+    state so far out that its weight overflows, infinite ones included,
+    reads the edge value plus its distance times the edge cell's outward
+    slope: +-inf only where that sum overflows, the edge value where the
+    cell is flat.  A NaN t or x gives NaN.  Needs at least 2 time levels.
     """
     tq = np.asarray(tq, dtype=float)
     xq = np.asarray(xq, dtype=float)
     dt, h = _step(ts), _step(xs)
-    far = np.isinf(xq)
-    if far.any():
-        # read at the edge and one step beyond it: the limit is the edge value
-        # plus inf times their difference, without the inf - inf of the weights
-        edge = np.where(far, np.where(xq > 0, xs[-1], xs[0]), xq)
-        near = _interp2(ts, xs, F, tq, edge)
-        slope = _interp2(ts, xs, F, tq, edge + np.where(far, np.sign(xq) * h, 0.0)) - near
-        return np.where(np.abs(slope) > 0, np.copysign(np.inf, slope), near)
     # clamped before the cast; fmax takes a NaN coordinate to cell 0, where its weight stays NaN
     it = np.fmin(np.fmax((tq - ts[0]) / dt, 0.0), len(ts) - 2).astype(int)
     wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0)
-    ix = np.fmin(np.fmax((xq - xs[0]) / h, 0.0), len(xs) - 2).astype(int)
-    wx = (xq - xs[ix]) / h  # outside [0,1] beyond the edges -> linear extrapolation
+    with np.errstate(over="ignore"):  # a weight that overflows is read below
+        ix = np.fmin(np.fmax((xq - xs[0]) / h, 0.0), len(xs) - 2).astype(int)
+        wx = (xq - xs[ix]) / h  # outside [0,1] beyond the edges -> linear extrapolation
+    far = np.isinf(wx)
+    if far.any():
+        # read at the edge and one step beyond it, and scale their difference
+        # per unit x, without the inf - inf of the weights
+        edge = np.where(far, np.where(xq > 0, xs[-1], xs[0]), xq)
+        near = _interp2(ts, xs, F, tq, edge)
+        slope = (_interp2(ts, xs, F, tq, edge + np.where(far, np.sign(xq) * h, 0.0)) - near) / h
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(far & (slope != 0), near + np.abs(xq - edge) * slope, near)
     # (1 - wt) ((1 - wx) f00 + wx f01) + wt ((1 - wx) f10 + wx f11), in place
     # where it can be: four corner arrays are never held at once
     v = (1 - wx) * F[..., it, ix]

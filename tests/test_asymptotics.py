@@ -12,7 +12,7 @@ from illiquid_eq.model import AgentBelief, BeliefSet, MarketSpec
 from illiquid_eq.ou import (OuModel, hc_correction_closed, ou_beliefs,
                             tc_correction_closed)
 from illiquid_eq.pde import (DegenerateVolatilityError, Grid1D, _interp2, _march, _setup,
-                             _step, solve_equilibrium)
+                             _step, default_grid, solve_equilibrium)
 
 from conftest import GAMMA, HORIZON, LAM, MEAN_X, SIGMA, curved, drifting_beliefs
 
@@ -49,6 +49,19 @@ def test_corrections_match_closed_forms(n, fx_kernel):
     assert _rel_err(tc.v, tc_correction_closed(model, GAMMA, T, X)) <= 5e-5
     hc = hc_correction(spec, beliefs, grid)
     assert _rel_err(hc.v, hc_correction_closed(model, LAM, T, X)) <= 5e-5
+
+
+def test_holding_correction_matches_closed_form_at_repeated_speeds(fx_kernel):
+    # the closed form is continuous in the speeds; at a repeated pair the
+    # march on the default grid agrees with it to the grid's error
+    model = OuModel(kappas=(0.5, 0.5, 0.2), mean_X=MEAN_X, sigma=SIGMA, horizon_T=HORIZON)
+    beliefs = ou_beliefs(model)
+    spec = MarketSpec(kernel=fx_kernel, supply_a0=0.0, allocations=(1.0, -0.5, -0.5),
+                      payoff=_identity)
+    grid = default_grid(beliefs)
+    hc = hc_correction(spec, beliefs, grid)
+    T, X = np.meshgrid(hc.ts, hc.xs, indexing="ij")
+    assert _rel_err(hc.v, hc_correction_closed(model, LAM, T, X)) <= 2e-5
 
 
 @pytest.mark.parametrize("n", [2, 3])

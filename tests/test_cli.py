@@ -258,6 +258,25 @@ def test_figures_end_at_the_horizon(config, tmp_path, steps, rows):
     assert (len(t), t[0], t[-1]) == (rows, 0.0, 3.0)
     assert np.all(np.diff(t) > 0)
 
+
+REPEATED = ["--set", "model.beliefs.kappas=[0.5, 0.5, 0.2]",
+            "--set", "model.allocations=[1.0, -0.5, -0.5]"]
+
+
+def test_repeated_speeds_have_the_holding_cost_closed_form(config, tmp_path):
+    # the closed form holds at repeated speeds: figures writes the corrected
+    # error, and the gamma sweep's rescaled gap closes on a finite target at
+    # first order, halving with gamma
+    out = tmp_path / "out"
+    for command in ("figures", "asymptotics"):
+        assert main([command, "--config", str(config), "--out", str(out), *SMALL, *REPEATED]) == 0
+    assert {"fig_error_corrected.csv", "fig_error_corrected.svg"} <= {p.name for p in out.iterdir()}
+    sweep = np.loadtxt(out / "gamma_sweep.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(sweep))
+    gaps = np.abs(sweep[:, 2] - sweep[:, 3])
+    assert np.all(gaps[1:] < 0.6 * gaps[:-1])
+
+
 # a constant payoff: the Feynman-Kac estimate and the surface agree to
 # roundoff, and the estimate's SE is roundoff (OU beliefs) or exactly 0
 CONSTANT_PAYOFF = ["--set", "model.payoff={type: constant, value: 2.0}",

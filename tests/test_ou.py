@@ -36,11 +36,6 @@ class TestModelType:
         with pytest.raises(ValueError, match="need at least one agent"):
             OuModel(kappas=(), mean_X=1.0, sigma=0.1, horizon_T=1.0)
 
-    def test_distinct_flag(self, fx_model):
-        assert fx_model.kappas_distinct
-        twin = OuModel(kappas=(0.5, 0.5), mean_X=1.0, sigma=0.1, horizon_T=1.0)
-        assert not twin.kappas_distinct
-
     def test_beliefs_carry_their_model(self, fx_model):
         beliefs = ou_beliefs(fx_model)
         assert beliefs.ou is fx_model
@@ -291,25 +286,33 @@ class TestClosedForms:
         assert hc_correction_closed(fx_model, 1e-7, 1.0, 1.0) > 0
 
     def test_hc_correction_matches_quadrature(self, fx_model):
-        # independent oracle: numeric quadrature of the integral representation
-        kap = np.array(fx_model.kappas)
-        T = 3.0
         for t, x in ((0.0, 1.0), (0.8, 1.4), (2.2, 1.1)):
-            total = 0.0
-            for i in range(2):
-                f = lambda s: (T - s) / 1e-7 * (
-                    np.mean(np.exp(-kap * (T - s))) - np.exp(-kap[i] * (T - s))
-                ) * np.exp(-kap[i] * (s - t)) * (x - 1.25)
-                val, _ = quad(f, t, T, limit=200)
-                total += val
-            total /= 2
             assert hc_correction_closed(fx_model, 1e-7, t, x) == pytest.approx(
-                total, rel=1e-9, abs=1e-6)
+                _hc_quadrature(fx_model.kappas, t, x), rel=1e-9, abs=1e-6)
 
-    def test_hc_correction_rejects_repeated_speeds(self):
-        twin = OuModel(kappas=(0.5, 0.5), mean_X=1.25, sigma=0.1, horizon_T=3.0)
-        with pytest.raises(ValueError, match=r"asymptotics\.hc_correction, the PDE march"):
-            hc_correction_closed(twin, 1e-7, 0.0, 1.0)
+    @pytest.mark.parametrize("kappas", [
+        (0.3,), (0.5, 0.5), (0.5, 0.5, 0.2), (0.2, 0.2, 0.2, 0.9),
+        *((0.5 + d, 0.5, 0.2) for d in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14))], ids=str)
+    def test_hc_correction_is_continuous_in_the_speeds(self, kappas):
+        # repeated and nearly repeated speeds, to 1e-9 of the largest value
+        # (every value is 0 where all speeds are equal)
+        model = OuModel(kappas=kappas, mean_X=1.25, sigma=0.128, horizon_T=3.0)
+        points = ((0.0, 1.0), (0.8, 1.4), (2.2, 1.1), (1.5, 0.9))
+        want = [_hc_quadrature(kappas, t, x) for t, x in points]
+        got = [hc_correction_closed(model, 1e-7, t, x) for t, x in points]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-9 * np.max(np.abs(want))
+
+
+def _hc_quadrature(kappas, t, x, lam=1e-7, mean=1.25, T=3.0):
+    """Independent oracle: numeric quadrature of the correction's integral representation."""
+    kap = np.array(kappas)
+    total = 0.0
+    for i in range(len(kap)):
+        f = lambda s: (T - s) / lam * (
+            np.mean(np.exp(-kap * (T - s))) - np.exp(-kap[i] * (T - s))
+        ) * np.exp(-kap[i] * (s - t)) * (x - mean)
+        total += quad(f, t, T, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+    return total / len(kap)
 
 
 class TestVolatilityCurve:

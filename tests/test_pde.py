@@ -489,7 +489,8 @@ def test_interp2_clamps_time(tq, at):
     # a time outside [0, T], infinite included, reads the edge level, a scalar
     # time and an array of it alike, with x beyond both edges extrapolated;
     # an infinite x reads the extrapolation's limit: +-inf where the edge cell
-    # slopes (the left edge), its value where it is flat (the right edge)
+    # slopes (the left edge), its value where it is flat (the right edge), as
+    # does a finite state whose weight overflows
     ts, xs = np.linspace(0.0, 1.0, 11), np.linspace(0.5, 2.0, 9)
     F = np.random.default_rng(2).random((len(ts), len(xs)))
     F[:, -1] = F[:, -2]
@@ -497,8 +498,8 @@ def test_interp2_clamps_time(tq, at):
     j = np.array([0, 0, 4, 7])
     w = (xq - xs[j]) / (xs[1] - xs[0])
     want = (1 - w) * F[at, j] + w * F[at, j + 1]
-    xq = np.concatenate([xq, [-np.inf, np.inf]])
-    want = np.concatenate([want, [np.copysign(np.inf, F[at, 0] - F[at, 1]), F[at, -1]]])
+    xq = np.concatenate([xq, [-np.inf, np.inf, 1.7e308]])
+    want = np.concatenate([want, [np.copysign(np.inf, F[at, 0] - F[at, 1]), F[at, -1], F[at, -1]]])
     with np.errstate(all="raise"):
         got = _interp2(ts, xs, F, tq, xq)
         assert np.array_equal(_interp2(ts, xs, F, np.full(len(xq), tq), xq), got)
@@ -515,17 +516,22 @@ def test_interp2_nan_time_gives_nan():
 
 def test_interp2_nan_and_huge_states_are_read_without_a_cast_warning():
     # the state is clamped to a cell before it is cast to an index, as the
-    # time is: a NaN gives NaN and +-1e300 extrapolates the edge cell
+    # time is: a NaN gives NaN and +-1e300 extrapolates the edge cell; at
+    # +-1.7e308 the weight overflows, and the read is the edge value plus the
+    # distance times the edge cell's slope per unit x, -inf where that overflows
     ts, xs = np.linspace(0.0, 1.0, 11), np.linspace(0.5, 2.0, 9)
     F = np.random.default_rng(3).random((len(ts), len(xs)))
-    xq = np.array([np.nan, 1e300, -1e300, 1.37])
+    xq = np.array([np.nan, 1e300, -1e300, 1.37, 1.7e308, -1.7e308])
     with np.errstate(all="raise"):
         got = _interp2(ts, xs, F, 0.5, xq)
-    h, f = xs[1] - xs[0], F[5]   # t = 0.5 is level 5
+    h, f, x = float(xs[1] - xs[0]), F[5].tolist(), xs.tolist()   # t = 0.5 is level 5
     assert np.isnan(got[0])
-    assert got[1] == pytest.approx(f[-2] + (1e300 - xs[-2]) / h * (f[-1] - f[-2]), rel=1e-12)
-    assert got[2] == pytest.approx(f[0] + (-1e300 - xs[0]) / h * (f[1] - f[0]), rel=1e-12)
+    assert got[1] == pytest.approx(f[-2] + (1e300 - x[-2]) / h * (f[-1] - f[-2]), rel=1e-12)
+    assert got[2] == pytest.approx(f[0] + (-1e300 - x[0]) / h * (f[1] - f[0]), rel=1e-12)
     assert got[3] == _interp2(ts, xs, F, 0.5, 1.37)
+    assert got[4] == f[-1] + (1.7e308 - x[-1]) * ((f[-1] - f[-2]) / h) == -np.inf
+    assert got[5] == pytest.approx(f[0] + (-1.7e308 - x[0]) * ((f[1] - f[0]) / h), rel=1e-12)
+    assert np.isfinite(got[5])
 
 
 def _counted(beliefs):

@@ -10,11 +10,12 @@ import pytest
 
 from illiquid_eq import ou
 from illiquid_eq.kernel import CostKernel, log_deriv, ratio
-from illiquid_eq.model import MarketSpec
+from illiquid_eq.model import MarketSpec, constant_beliefs
 from illiquid_eq.pde import Grid1D, GridSurface, _march, _setup, solve_equilibrium
 
 KERN = CostKernel(1e-8, 1e-7, 3.0)
 MODEL = ou.OuModel(kappas=(0.8625, 0.2875), mean_X=1.25, sigma=0.128, horizon_T=3.0)
+CONSTANT = constant_beliefs([0.02, -0.01], [0.1, 0.15])
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,8 @@ EVALUATORS = {
     "ou.risk_neutral_price": lambda s, t, x: ou.risk_neutral_price(MODEL, t, x)[0],
     "ou.tc_correction_closed": lambda s, t, x: ou.tc_correction_closed(MODEL, 1e-8, t, x),
     "ou.hc_correction_closed": lambda s, t, x: ou.hc_correction_closed(MODEL, 1e-7, t, x),
+    "constant_beliefs drift": lambda s, t, x: CONSTANT.agents[1].drift(t, x),
+    "constant_beliefs vol": lambda s, t, x: CONSTANT.agents[1].vol(t, x),
     "kernel.log_deriv": lambda s, t, x: log_deriv(KERN, t),
     "kernel.ratio": lambda s, t, x: ratio(KERN, t, t),
 }
@@ -55,7 +58,7 @@ INPUTS = {"float": (1.3, 1.1), "0-d array": (np.array(1.3), np.array(1.1))}
 @pytest.mark.parametrize("name", list(EVALUATORS))
 def test_scalar_inputs_give_a_float(surfaces, name, kind):
     out = EVALUATORS[name](surfaces, *INPUTS[kind])
-    assert isinstance(out, float) and np.ndim(out) == 0
+    assert isinstance(out, np.float64) and np.ndim(out) == 0
 
 
 @pytest.mark.parametrize("name", list(EVALUATORS))
