@@ -108,31 +108,25 @@ def _step(a) -> float:
 def _interp2(ts, xs, F, tq, xq):
     """Bilinear interpolation of F, indexed (..., t, x), at (tq, xq) on a uniform grid.
 
-    Clamps in t, infinite times included; extrapolates linearly in x beyond
-    the edges, consistent with the zero-curvature boundary condition.  A
-    state so far out that its weight overflows, infinite ones included,
-    reads the edge value plus its distance times the edge cell's outward
-    slope: +-inf only where that sum overflows, the edge value where the
-    cell is flat.  A NaN t or x gives NaN.  Needs at least 2 time levels.
+    One rule for every read beyond the grid, from the zero-curvature edge
+    condition.  A time beyond [t0, T], finite or infinite, reads exactly the
+    edge level.  A state beyond an x edge, finite or infinite, reads the edge
+    value plus its distance times the edge cell's time-interpolated slope per
+    unit x: +-inf only where that sum overflows, the edge value where the
+    slope is 0.  A NaN t or x gives NaN.  Needs at least 2 time levels.
     """
     tq = np.asarray(tq, dtype=float)
     xq = np.asarray(xq, dtype=float)
     dt, h = _step(ts), _step(xs)
+    beyond = (np.fmin.reduce(xq, axis=None, initial=np.inf) < xs[0]
+              or np.fmax.reduce(xq, axis=None, initial=-np.inf) > xs[-1])
+    xe = np.clip(xq, xs[0], xs[-1]) if beyond else xq  # the nearest state on the grid; NaN stays
     # clamped before the cast; fmax takes a NaN coordinate to cell 0, where its weight stays NaN
-    it = np.fmin(np.fmax((tq - ts[0]) / dt, 0.0), len(ts) - 2).astype(int)
-    wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0)
-    with np.errstate(over="ignore"):  # a weight that overflows is read below
-        ix = np.fmin(np.fmax((xq - xs[0]) / h, 0.0), len(xs) - 2).astype(int)
-        wx = (xq - xs[ix]) / h  # outside [0,1] beyond the edges -> linear extrapolation
-    far = np.isinf(wx)
-    if far.any():
-        # read at the edge and one step beyond it, and scale their difference
-        # per unit x, without the inf - inf of the weights
-        edge = np.where(far, np.where(xq > 0, xs[-1], xs[0]), xq)
-        near = _interp2(ts, xs, F, tq, edge)
-        slope = (_interp2(ts, xs, F, tq, edge + np.where(far, np.sign(xq) * h, 0.0)) - near) / h
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(far & (slope != 0), near + np.abs(xq - edge) * slope, near)
+    with np.errstate(over="ignore"):  # a time whose index overflows has the weight 0 or 1
+        it = np.fmin(np.fmax((tq - ts[0]) / dt, 0.0), len(ts) - 2).astype(int)
+        wt = np.clip((tq - ts[it]) / dt, 0.0, 1.0)
+    ix = np.fmin(np.fmax((xe - xs[0]) / h, 0.0), len(xs) - 2).astype(int)
+    wx = (xe - xs[ix]) / h
     # (1 - wt) ((1 - wx) f00 + wx f01) + wt ((1 - wx) f10 + wx f11), in place
     # where it can be: four corner arrays are never held at once
     v = (1 - wx) * F[..., it, ix]
@@ -142,6 +136,11 @@ def _interp2(ts, xs, F, tq, xq):
     upper += wx * F[..., it + 1, ix + 1]
     upper *= wt
     v += upper
+    if beyond:
+        slope = (1 - wt) * (F[..., it, ix + 1] - F[..., it, ix])
+        slope += wt * (F[..., it + 1, ix + 1] - F[..., it + 1, ix])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is masked out
+            v += np.where(slope != 0, (xq - xe) * (slope / h), 0.0)
     return v
 
 

@@ -8,9 +8,10 @@ sampled with exact transition densities; anything else uses Euler-Maruyama.
 
 Paths may leave the spatial domain of a grid price surface.  One rule,
 ``exit_fraction``, governs every consumer: up to ``MAX_EXIT_FRACTION`` of
-the paths may exit, and they are evaluated on the surface's linear
-extension beyond the edges (consistent with its zero-curvature boundary
-condition); more raise ``DomainExitError``.
+the paths may exit, and more raise ``DomainExitError``.  Those that exit
+are read by the one rule of ``pde._interp2``, which follows from the
+surface's zero-curvature boundary condition: a state beyond an edge reads
+the edge value plus its distance times the edge cell's slope per unit x.
 """
 
 from __future__ import annotations

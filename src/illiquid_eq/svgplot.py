@@ -1,4 +1,4 @@
-"""Minimal SVG 1.1 polyline plots: axes, two-decimal ticks and a legend.
+"""Minimal SVG 1.1 polyline plots: axes, ticks labelled to two digits of their spacing, a legend.
 
 Kept dependency-free on purpose; the emitted figures are acceptance
 artifacts and must not hinge on an external plotting stack.
@@ -17,10 +17,11 @@ WIDTH, HEIGHT = 640, 440
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
+    """n evenly spaced ticks on [lo, hi], each with a label to two digits of their spacing."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return [float(v) for v in raw]
+    digits = max(0, 1 - int(np.floor(np.log10((hi - lo) / (n - 1)))))
+    return [(float(v), f"{v:.{digits}f}") for v in np.linspace(lo, hi, n)]
 
 
 def line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
@@ -56,16 +57,16 @@ def line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "")
     # axes box
     parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
                  f'fill="none" stroke="#444" stroke-width="1"/>')
-    for xv in _ticks(x_lo, x_hi):
+    for xv, label in _ticks(x_lo, x_hi):
         parts.append(f'<line x1="{px(xv):.1f}" y1="{mt+ph}" x2="{px(xv):.1f}" '
                      f'y2="{mt+ph+5}" stroke="#444"/>')
         parts.append(f'<text x="{px(xv):.1f}" y="{mt+ph+18}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="11">{xv:.2f}</text>')
-    for yv in _ticks(y_lo, y_hi):
+                     f'font-family="sans-serif" font-size="11">{label}</text>')
+    for yv, label in _ticks(y_lo, y_hi):
         parts.append(f'<line x1="{ml-5}" y1="{py(yv):.1f}" x2="{ml}" '
                      f'y2="{py(yv):.1f}" stroke="#444"/>')
         parts.append(f'<text x="{ml-8}" y="{py(yv)+4:.1f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{yv:.2f}</text>')
+                     f'font-family="sans-serif" font-size="11">{label}</text>')
     parts.append(f'<text x="{ml+pw/2:.1f}" y="{HEIGHT-10}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12">{xlabel}</text>')
     parts.append(f'<text x="16" y="{mt+ph/2:.1f}" text-anchor="middle" '

@@ -3,11 +3,10 @@
 Every table is written by ``write_csv`` with one row template, built from the
 cell types of its first row: ``%.12g`` for a float cell (``np.float64``
 included) and ``%s`` for any other, so one ``%`` formats a whole row.  Rows
-end in ``\\r\\n``, as RFC 4180 (and ``csv.writer``) has them.  A table given
-as one iterable of rows is formatted and written CHUNK_ROWS at a time, so it
-is never held in memory as one string.  A table given in two parts, as the
-grid surfaces write theirs, is formatted on two CPUs: each part becomes one
-string, the first in a forked child (``fork_call``), the second here.
+end in ``\\r\\n``, as RFC 4180 (and ``csv.writer``) has them.  A table is
+formatted as one string, or, given in two parts as the grid surfaces write
+theirs, as two strings on two CPUs: the first in a forked child
+(``fork_call``), the second here.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from itertools import chain, islice
+from itertools import chain
 
-__all__ = ["write_csv", "fork_call", "CHUNK_ROWS", "FLOAT_FORMAT"]
+__all__ = ["write_csv", "fork_call", "FLOAT_FORMAT"]
 
-CHUNK_ROWS = 4096
 FLOAT_FORMAT = "%.12g"
 
 
@@ -99,17 +97,16 @@ def write_csv(path, header, rows, tail=None) -> None:
     rows = map(tuple, rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        chunk = list(islice(rows, 1 if tail is not None else CHUNK_ROWS))
-        if not chunk:
+        first = next(rows, None)
+        if first is None:
             return
         row_fmt = ",".join(FLOAT_FORMAT if isinstance(v, float) else "%s"
-                           for v in chunk[0]) + "\r\n"
-        if tail is not None:
-            head, rest = fork_call(lambda: "".join(map(row_fmt.__mod__, chain(chunk, rows))),
-                                   lambda: "".join(map(row_fmt.__mod__, map(tuple, tail))))
-            fh.write(head)
-            fh.write(rest)
-            return
-        while chunk:
-            fh.write("".join(map(row_fmt.__mod__, chunk)))
-            chunk = list(islice(rows, CHUNK_ROWS))
+                           for v in first) + "\r\n"
+        body = chain([first], rows)
+
+        def text(part):
+            return "".join(map(row_fmt.__mod__, part))
+        if tail is None:
+            fh.write(text(body))
+        else:
+            fh.writelines(fork_call(lambda: text(body), lambda: text(map(tuple, tail))))

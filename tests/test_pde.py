@@ -532,6 +532,56 @@ def test_interp2_nan_and_huge_states_are_read_without_a_cast_warning():
     assert got[4] == f[-1] + (1.7e308 - x[-1]) * ((f[-1] - f[-2]) / h) == -np.inf
     assert got[5] == pytest.approx(f[0] + (-1.7e308 - x[0]) * ((f[1] - f[0]) / h), rel=1e-12)
     assert np.isfinite(got[5])
+    # from a thousandth of a step to 1e300 beyond either edge: the edge value
+    # plus the distance times the edge cell's slope per unit x
+    d = h * np.logspace(-3, 0, 7)
+    d = np.concatenate([d, np.logspace(1, 300, 14)])
+    with np.errstate(all="raise"):
+        right, left = _interp2(ts, xs, F, 0.5, x[-1] + d), _interp2(ts, xs, F, 0.5, x[0] - d)
+    assert right == pytest.approx(f[-1] + d * ((f[-1] - f[-2]) / h), rel=1e-12)
+    assert left == pytest.approx(f[0] - d * ((f[1] - f[0]) / h), rel=1e-12)
+
+
+def test_interp2_reads_a_huge_state_over_a_flat_edge_as_the_edge_value():
+    # the edge cell of test_interp2_clamps_time's grid is flat on the right
+    ts, xs = np.linspace(0.0, 1.0, 11), np.linspace(0.5, 2.0, 9)
+    F = np.random.default_rng(2).random((len(ts), len(xs)))
+    F[:, -1] = F[:, -2]
+    with np.errstate(all="raise"):
+        got = _interp2(ts, xs, F, 0.5, np.array([1e16, 1e20, 1e300]))
+        edge = _interp2(ts, xs, F, 0.5, xs[-1])
+    assert got.tolist() == [edge] * 3
+    assert edge == pytest.approx(F[5, -1], rel=1e-15)
+
+
+@pytest.mark.parametrize("tq, at", [(1.7e308, -1), (-1.7e308, 0)])
+def test_interp2_reads_a_huge_time_as_the_edge_level(tq, at):
+    # on the grid of test_interp2_clamps_time, without an overflow in the time
+    # weight: the nodes read the edge level, and states beyond the x edges
+    # read as at an infinite time
+    ts, xs = np.linspace(0.0, 1.0, 11), np.linspace(0.5, 2.0, 9)
+    F = np.random.default_rng(2).random((len(ts), len(xs)))
+    beyond = np.array([0.2, 2.6])
+    with np.errstate(all="raise"):
+        assert np.array_equal(_interp2(ts, xs, F, tq, xs), F[at])
+        assert np.array_equal(_interp2(ts, xs, F, tq, beyond),
+                              _interp2(ts, xs, F, np.copysign(np.inf, tq), beyond))
+
+
+def test_interp2_reads_inside_the_grid_by_the_bilinear_formula():
+    ts, xs = np.linspace(0.0, 1.3, 12), np.linspace(-0.7, 2.0, 10)
+    rng = np.random.default_rng(4)
+    F = rng.normal(size=(3, len(ts), len(xs)))
+    tq = np.concatenate([ts[[0, -1]], rng.uniform(ts[0], ts[-1], 38)])[:, None]
+    xq = np.concatenate([xs[[0, -1]], rng.uniform(xs[0], xs[-1], 48)])
+    dt, h = _step(ts), _step(xs)
+    it = np.minimum(((tq - ts[0]) / dt).astype(int), len(ts) - 2)
+    ix = np.minimum(((xq - xs[0]) / h).astype(int), len(xs) - 2)
+    wt, wx = np.clip((tq - ts[it]) / dt, 0.0, 1.0), (xq - xs[ix]) / h
+    want = (((1 - wx) * F[:, it, ix] + wx * F[:, it, ix + 1]) * (1 - wt)
+            + ((1 - wx) * F[:, it + 1, ix] + wx * F[:, it + 1, ix + 1]) * wt)
+    with np.errstate(all="raise"):
+        assert np.array_equal(_interp2(ts, xs, F, tq, xq), want)
 
 
 def _counted(beliefs):

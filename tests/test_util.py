@@ -16,7 +16,7 @@ import pytest
 from illiquid_eq.asymptotics import CorrectionSurface
 from illiquid_eq.pde import EquilibriumSolution
 from illiquid_eq import util
-from illiquid_eq.util import CHUNK_ROWS, FLOAT_FORMAT, fork_call, write_csv
+from illiquid_eq.util import FLOAT_FORMAT, fork_call, write_csv
 
 CELLS = [0.0, -0.0, 5e-324, 1e300, float("inf"), float("-inf"), float("nan"),
          np.float64(0.1) + np.float64(0.2), 2.0 / 3.0, -1.5e-7]
@@ -53,7 +53,7 @@ def test_mixed_cells_match_csv_writer(tmp_path):
 
 def test_lists_and_chunks_match_csv_writer(tmp_path):
     rng = np.random.default_rng(5)
-    table = rng.normal(size=(2 * CHUNK_ROWS + 3, 3)) * 10.0 ** rng.integers(-12, 12, (1, 3))
+    table = rng.normal(size=(8195, 3)) * 10.0 ** rng.integers(-12, 12, (1, 3))
     _same_bytes(tmp_path, ["t", "x", "v"], table.tolist())
 
 
