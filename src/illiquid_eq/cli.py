@@ -253,21 +253,32 @@ def _write_sweeps(spec, m, num, out: Path) -> list:
     # one batch on one mesh, fine enough for the stiffest lambda (50 steps per unit of a*T)
     steps = max([num["ode_steps"]] + [int(50 * k.rate_a * T) for k in kernels[:5]])
     a0 = spec.supply_a0
-    prices = [ab.value(0.0, x)
-              for ab in oumod.solve_ab_batch(m, kernels, n_steps=steps, supply_a0=a0)]
-
-    drag = supply_drag(spec.kernel, a0 / m.n_agents, 0.0)
-    v0f = oumod.frictionless_price(m, 0.0, x) + drag
-    v0r, _ = oumod.risk_neutral_price(m, 0.0, x)
-    tc_target = oumod.tc_correction_closed(m, g0, 0.0, x)
-    hc_target = oumod.hc_correction_closed(m, l0, 0.0, x) + drag / g0
+    solutions = oumod.solve_ab_batch(m, kernels, n_steps=steps, supply_a0=a0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        prices = [ab.value(0.0, x) for ab in solutions]
+        drag = supply_drag(spec.kernel, a0 / m.n_agents, 0.0)
+        v0f = oumod.frictionless_price(m, 0.0, x) + drag
+        v0r, _ = oumod.risk_neutral_price(m, 0.0, x)
+        tc_target = oumod.tc_correction_closed(m, g0, 0.0, x)
+        hc_target = oumod.hc_correction_closed(m, l0, 0.0, x) + drag / g0
+        lam_rows = [(lam, v, (v - v0f) / np.sqrt(lam), tc_target)
+                    for lam, v in zip(lams, prices[:5])]
+        gam_rows = [(g, v, (v - v0r) / g, hc_target) for g, v in zip(gammas, prices[5:])]
     p_lam, p_gam = out / "lambda_sweep.csv", out / "gamma_sweep.csv"
-    write_csv(p_lam, ["lambda", "price", "rescaled_gap", "closed_form"],
-              [(lam, v, (v - v0f) / np.sqrt(lam), tc_target)
-               for lam, v in zip(lams, prices[:5])])
-    write_csv(p_gam, ["gamma", "price", "rescaled_gap", "closed_form"],
-              [(g, v, (v - v0r) / g, hc_target) for g, v in zip(gammas, prices[5:])])
+    _require_finite(x, {p_lam.name: lam_rows, p_gam.name: gam_rows})
+    write_csv(p_lam, ["lambda", "price", "rescaled_gap", "closed_form"], lam_rows)
+    write_csv(p_gam, ["gamma", "price", "rescaled_gap", "closed_form"], gam_rows)
     return [p_lam, p_gam]
+
+
+def _require_finite(x_eval: float, tables: dict) -> None:
+    """Refuse tables, by file name, before any is written if one holds a non-finite value.
+
+    The closed forms and prices at x_eval overflow from about x_eval = 1e306 on.
+    """
+    for name, rows in tables.items():
+        if not np.all(np.isfinite(rows)):
+            raise ConfigError(f"numerics.x_eval = {x_eval:g} puts a non-finite value in {name}")
 
 
 def cmd_asymptotics(cfg: dict, out: Path, args) -> tuple:
@@ -298,10 +309,50 @@ def cmd_asymptotics(cfg: dict, out: Path, args) -> tuple:
     return files + sweeps, None
 
 
+def _agent_checks(i: int, surface, spec, beliefs, num: dict, rate_scale: float) -> tuple:
+    """Agent i's Gateaux, perturbation and Feynman-Kac checks: (gate, obj, fk) nodes.
+
+    Of the strategies only agent i's positions and rates are kept; the other
+    agents' rows serve only to form the rate ODE's forcing mean.  The batch
+    and strategies are released on return, before the next agent simulates.
+    """
+    T, x0, seed = spec.horizon_T, num["x_eval"], num["seed"]
+    bi = simulate.simulate(beliefs, i, x0, 0.0, T, num["steps"], num["paths"], seed=seed + i)
+    si = portfolio.integrate_strategies(surface, spec, bi, rate_scale=rate_scale)
+    for rows in (si.positions, si.rates):
+        rows[:] = [row if j == i else None for j, row in enumerate(rows)]
+    res = portfolio.gateaux_residual(i, bi, si, surface, seed=seed + 100 + i)
+    gate = {"value": res.max_residual, "bound": 3.0,
+            "ok": res.max_residual <= 3.0, "exit_frac": si.exit_frac}
+    # perturbation: optimal beats perturbed within Monte Carlo resolution
+    dirs = portfolio.bump_directions(bi.ts, 5, seed=seed + 200 + i)
+    # bumps on the scale of the positions; unit scale when the agent never
+    # holds any, where a zero scale would compare the strategy with itself
+    scale = float(np.sqrt(np.mean(si.positions[i] ** 2))) or 1.0
+    base = portfolio.objective(i, bi, si, surface)
+    worst = np.inf
+    for d in range(dirs.shape[0]):
+        theta = portfolio.cumulative_positions(bi.ts, dirs[d]) * scale
+        pert = portfolio.objective(
+            i, bi, si, surface,
+            positions=si.positions[i] + 0.1 * theta[None, :],
+            rates=si.rates[i] + 0.1 * scale * dirs[d][None, :])
+        gap = base.per_path - pert.per_path
+        worst = min(worst, gap.mean() + 3.0 * gap.std(ddof=1) / np.sqrt(len(gap)))
+    obj = {"worst_gap_plus_3se": float(worst), "ok": bool(worst >= 0.0)}
+    est, se = simulate.feynman_kac_vi(beliefs, i, surface, spec.kernel, 0.0, x0,
+                                      npaths=num["paths"], seed=seed + 300 + i,
+                                      nt=num["steps"])
+    exact = surface.agent_value(i, 0.0, x0)
+    # the SE with a roundoff floor: a constant payoff's SE is roundoff or 0
+    gap = abs(est - exact)
+    z = gap / np.hypot(se, 64 * np.finfo(float).eps * max(abs(est), abs(exact))) if gap else 0.0
+    fk = {"estimate": est, "surface": exact, "z": z, "ok": bool(z <= 3.0)}
+    return gate, obj, fk
+
+
 def _verify_report(cfg: dict, sabotage: bool) -> dict:
     spec, beliefs, grid, num, payoff_type = _build(cfg)
-    T = spec.horizon_T
-    x0 = num["x_eval"]
     rate_scale = 1.5 if sabotage else 1.0
     m = _ode_model(beliefs, payoff_type)
     if m is not None:
@@ -310,44 +361,18 @@ def _verify_report(cfg: dict, sabotage: bool) -> dict:
     else:
         surface = pde.solve_equilibrium(spec, beliefs, grid)
 
-    batch = simulate.simulate(beliefs, 0, x0, 0.0, T, 2000, 100, seed=num["seed"])
-    strat = portfolio.integrate_strategies(surface, spec, batch, rate_scale=rate_scale)
-    resid = portfolio.clearing_residual(strat)
+    # the clearing batch and its strategies are released once the residual is taken
+    batch = simulate.simulate(beliefs, 0, num["x_eval"], 0.0, spec.horizon_T, 2000, 100,
+                              seed=num["seed"])
+    resid = portfolio.clearing_residual(
+        portfolio.integrate_strategies(surface, spec, batch, rate_scale=rate_scale))
+    del batch
     clearing = {"value": resid, "bound": 1e-6, "ok": resid <= 1e-6}
 
     gate, obj, fk = {}, {}, {}
     for i in range(beliefs.n_agents):
-        bi = simulate.simulate(beliefs, i, x0, 0.0, T, num["steps"], num["paths"],
-                               seed=num["seed"] + i)
-        si = portfolio.integrate_strategies(surface, spec, bi, rate_scale=rate_scale)
-        res = portfolio.gateaux_residual(i, bi, si, surface, seed=num["seed"] + 100 + i)
-        gate[f"agent_{i}"] = {"value": res.max_residual, "bound": 3.0,
-                              "ok": res.max_residual <= 3.0, "exit_frac": si.exit_frac}
-        # perturbation: optimal beats perturbed within Monte Carlo resolution
-        dirs = portfolio.bump_directions(bi.ts, 5, seed=num["seed"] + 200 + i)
-        # bumps on the scale of the positions; unit scale when the agent never
-        # holds any, where a zero scale would compare the strategy with itself
-        scale = float(np.sqrt(np.mean(si.positions[i] ** 2))) or 1.0
-        base = portfolio.objective(i, bi, si, surface)
-        worst = np.inf
-        for d in range(dirs.shape[0]):
-            theta = portfolio.cumulative_positions(bi.ts, dirs[d]) * scale
-            pert = portfolio.objective(
-                i, bi, si, surface,
-                positions=si.positions[i] + 0.1 * theta[None, :],
-                rates=si.rates[i] + 0.1 * scale * dirs[d][None, :])
-            gap = base.per_path - pert.per_path
-            worst = min(worst, gap.mean() + 3.0 * gap.std(ddof=1) / np.sqrt(len(gap)))
-        obj[f"agent_{i}"] = {"worst_gap_plus_3se": float(worst), "ok": bool(worst >= 0.0)}
-        est, se = simulate.feynman_kac_vi(beliefs, i, surface, spec.kernel, 0.0, x0,
-                                          npaths=num["paths"], seed=num["seed"] + 300 + i,
-                                          nt=num["steps"])
-        exact = surface.agent_value(i, 0.0, x0)
-        # the SE with a roundoff floor: a constant payoff's SE is roundoff or 0
-        gap = abs(est - exact)
-        z = gap / np.hypot(se, 64 * np.finfo(float).eps * max(abs(est), abs(exact))) if gap else 0.0
-        fk[f"feynman_kac_agent_{i}"] = {"estimate": est, "surface": exact, "z": z,
-                                        "ok": bool(z <= 3.0)}
+        gate[f"agent_{i}"], obj[f"agent_{i}"], fk[f"feynman_kac_agent_{i}"] = _agent_checks(
+            i, surface, spec, beliefs, num, rate_scale)
 
     passed = all(node["ok"] for node in [clearing, *gate.values(), *obj.values(), *fk.values()])
     checks = {"clearing_residual": clearing, "gateaux": gate, "objective_perturbation": obj, **fk}
@@ -401,27 +426,29 @@ def cmd_figures(cfg: dict, out: Path, args) -> tuple:
     bbar, env_lo, env_hi = oumod.volatility_curve(ab, ts)
     drag = supply_drag(spec.kernel, a0 / m.n_agents, ts)
     gamma = spec.kernel.gamma
-    price_both = ab.value(ts, x)
-    price_no_hc, _ = oumod.risk_neutral_price(m, ts, x)
-    vstar = oumod.hc_correction_closed(m, spec.kernel.lam, ts, x) + drag / gamma
     sig = m.sigma
-
-    # (file stem, title, y label, curves of (CSV column, values, legend, line style))
-    figures = [
-        ("fig_prices", f"Equilibrium price at x={x:g}", "price",
-         [("price_both_costs", price_both, "both costs", "solid"),
-          ("price_no_tc", oumod.frictionless_price(m, ts, x) + drag,
-           "no trading cost", "dotted"),
-          ("price_no_hc", price_no_hc, "no holding cost", "dashed")]),
-        ("fig_volatilities", "Equilibrium volatility", "volatility",
-         [("vol_both_costs", sig * bbar, "both costs", "solid"),
-          ("vol_no_tc", sig * env_lo, "no trading cost", "dotted"),
-          ("vol_no_hc", sig * env_hi, "no holding cost", "dashed")]),
-        ("fig_error_uncorrected", "Approximation error, zeroth order", "error",
-         [("error", price_no_hc - price_both, "risk-neutral minus exact", "solid")]),
-        ("fig_error_corrected", "Approximation error, first order", "error",
-         [("error", price_no_hc + gamma * vstar - price_both, "corrected minus exact", "solid")]),
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        price_both = ab.value(ts, x)
+        price_no_hc, _ = oumod.risk_neutral_price(m, ts, x)
+        vstar = oumod.hc_correction_closed(m, spec.kernel.lam, ts, x) + drag / gamma
+        # (file stem, title, y label, curves of (CSV column, values, legend, line style))
+        figures = [
+            ("fig_prices", f"Equilibrium price at x={x:g}", "price",
+             [("price_both_costs", price_both, "both costs", "solid"),
+              ("price_no_tc", oumod.frictionless_price(m, ts, x) + drag,
+               "no trading cost", "dotted"),
+              ("price_no_hc", price_no_hc, "no holding cost", "dashed")]),
+            ("fig_volatilities", "Equilibrium volatility", "volatility",
+             [("vol_both_costs", sig * bbar, "both costs", "solid"),
+              ("vol_no_tc", sig * env_lo, "no trading cost", "dotted"),
+              ("vol_no_hc", sig * env_hi, "no holding cost", "dashed")]),
+            ("fig_error_uncorrected", "Approximation error, zeroth order", "error",
+             [("error", price_no_hc - price_both, "risk-neutral minus exact", "solid")]),
+            ("fig_error_corrected", "Approximation error, first order", "error",
+             [("error", price_no_hc + gamma * vstar - price_both, "corrected minus exact",
+               "solid")]),
+        ]
+    _require_finite(x, {f"{stem}.csv": [c[1] for c in curves] for stem, _, _, curves in figures})
     files = []
     for stem, title, ylabel, curves in figures:
         csv_path, svg_path = out / f"{stem}.csv", out / f"{stem}.svg"

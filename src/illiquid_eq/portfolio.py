@@ -171,8 +171,16 @@ def objective(i: int, batch: SimulationBatch, strategies: StrategyBatch, surface
     kern = spec.kernel
     phi = strategies.positions[i] if positions is None else positions
     rate = strategies.rates[i] if rates is None else rates
-    mu = _agent_drift_rows(surface, i, batch.ts, batch.paths)
-    integrand = phi * mu - 0.5 * kern.gamma * phi**2 - 0.5 * kern.lam * rate**2
+    # the integrand is built in the drift rows with one temporary, in the order
+    # of phi * mu - 0.5 * gamma * phi**2 - 0.5 * lam * rate**2
+    integrand = _agent_drift_rows(surface, i, batch.ts, batch.paths)
+    integrand *= phi
+    tmp = np.square(phi)
+    tmp *= 0.5 * kern.gamma
+    integrand -= tmp
+    np.square(rate, out=tmp)
+    tmp *= 0.5 * kern.lam
+    integrand -= tmp
     w = _trapz_weights(len(batch.ts), batch.dt)
     per_path = integrand @ w
     return ObjectiveEstimate(mean=float(per_path.mean()), per_path=per_path)

@@ -158,7 +158,11 @@ def feynman_kac_vi(beliefs: BeliefSet, i: int, v_surface, kernel: CostKernel,
 
     # exact per-interval weight: int_{u_k}^{u_{k+1}} -G'(u)/G(t) du
     w = ratio(kernel, ts[:-1], t) - ratio(kernel, ts[1:], t)
-    integral = 0.5 * ((vals[:, :-1] + vals[:, 1:]) * w[None, :]).sum(axis=1)
+    # the trapezoid (v_k + v_{k+1}) * w_k, summed in place in vals
+    head = vals[:, :-1]
+    head += vals[:, 1:]
+    head *= w
+    integral = 0.5 * head.sum(axis=1)
 
     terminal = np.asarray(v_surface.value(T, X[:, -1]), dtype=float)
     per_path = terminal / ratio(kernel, t, T) + integral

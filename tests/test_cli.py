@@ -3,13 +3,15 @@
 import json
 import os
 import time
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from illiquid_eq import asymptotics as asy
-from illiquid_eq import pde
+from illiquid_eq import cli, pde
 from illiquid_eq.cli import COMMANDS, main
 from illiquid_eq.kernel import CostKernel
 from illiquid_eq.model import MarketSpec
@@ -109,6 +111,22 @@ def test_paths_leaving_narrow_grid_are_input_error(config, tmp_path, capsys):
     assert "path exits spatial grid" in capsys.readouterr().err
 
 
+def test_verify_holds_few_path_arrays():
+    # at its peak verify holds the batch paths, agent i's positions and rates,
+    # one perturbed pair, and objective's drift rows with one temporary: 7 arrays
+    # of paths x (steps + 1); it held about 12.6 when every agent's rows and the
+    # clearing batch stayed alive
+    config = Path(__file__).resolve().parents[1] / "configs" / "ou_fx.yaml"
+    cfg = cli._config(config, ["numerics.mc={paths: 4000, steps: 100}"], None)
+    tracemalloc.start()
+    try:
+        cli._verify_report(cfg, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4000 * 101 * 8
+
+
 def test_pde_solve_writes_only_the_csv(config, tmp_path):
     out = tmp_path / "out"
     code = main(["pde-solve", "--config", str(config), "--out", str(out),
@@ -202,6 +220,22 @@ def test_asymptotics_errors_keep_the_sequential_order(config, tmp_path, capsys, 
     assert sorted(p.name for p in out.iterdir()) == files
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command, table", [("asymptotics", "lambda_sweep.csv"),
+                                            ("figures", "fig_error_corrected.csv")])
+def test_overflowing_x_eval_is_input_error(config, tmp_path, capsys, command, table):
+    # from x_eval = 1e306 on the closed-form corrections overflow: asymptotics
+    # wrote inf into its sweeps, figures -inf before its plot raised
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(config), "--out", str(out), *SMALL,
+                     "--set", "numerics.x_eval=1e306"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: numerics.x_eval = 1e+306") and table in err
+    assert list(out.iterdir()) == []
 
 
 def _cells(path):

@@ -152,6 +152,21 @@ class TestObjective:
                         positions=zeros, rates=zeros)
         assert est.mean == 0.0 and np.all(est.per_path == 0.0)
 
+    def test_integrand_is_the_explicit_form(self, fx_beliefs, fx_ab, fx_spec):
+        # the integrand is built in place in the drift rows, in the explicit form's order
+        batch = simulate(fx_beliefs, 0, 1.0, 0.0, 3.0, 30, 20, seed=5)
+        strat = integrate_strategies(fx_ab, fx_spec, batch)
+        rng = np.random.default_rng(11)
+        # positions and rates on the scales at which the three terms are alike
+        phi, rate = rng.standard_normal((2,) + batch.paths.shape) * [[[1e7]], [[3e6]]]
+        mu = np.column_stack([fx_ab.agent_drift(0, t, x) for t, x in zip(batch.ts, batch.paths.T)])
+        w = np.full(len(batch.ts), batch.dt)
+        w[0] = w[-1] = 0.5 * batch.dt
+        gamma, lam = fx_spec.kernel.gamma, fx_spec.kernel.lam
+        explicit = (phi * mu - 0.5 * gamma * phi**2 - 0.5 * lam * rate**2) @ w
+        est = objective(0, batch, strat, fx_ab, positions=phi, rates=rate)
+        assert np.array_equal(est.per_path, explicit)
+
     def test_measure_mismatch_flagged(self, fx_beliefs, fx_ab, fx_spec, fx_strategies):
         other = simulate(fx_beliefs, 1, 1.0, 0.0, 3.0, 2000, 10, seed=1)
         with pytest.raises(ValueError, match="measure mismatch"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from illiquid_eq import simulate as simulate_module
-from illiquid_eq.kernel import CostKernel
+from illiquid_eq.kernel import CostKernel, ratio
 from illiquid_eq.model import AgentBelief, BeliefSet
 from illiquid_eq.pde import GridSurface
 from illiquid_eq.simulate import DomainExitError, feynman_kac_vi, simulate
@@ -125,6 +125,23 @@ class TestFeynmanKac:
                                      npaths=100000, seed=40 + i, nt=400)
             exact = fx_ab.agent_value(i, 0.0, 1.0)
             assert abs(est - exact) <= 3 * se
+
+    def test_trapezoid_is_the_explicit_form(self, fx_beliefs):
+        # the trapezoid is summed in place in vals, in the explicit form's order;
+        # a zero terminal row leaves the trapezoid alone in the estimate
+        kern = CostKernel(1e-6, 1e-7, 3.0)
+        ts = np.linspace(0.0, 3.0, 7)
+        xs = np.linspace(-10.0, 10.0, 21)
+        v = np.random.default_rng(9).standard_normal((7, 21))
+        v[-1] = 0.0
+        surf = GridSurface(ts=ts, xs=xs, v=v)
+        est, se = feynman_kac_vi(fx_beliefs, 0, surf, kern, 0.5, 1.0, npaths=50, seed=13, nt=20)
+        batch = simulate(fx_beliefs, 0, 1.0, 0.5, 3.0, 20, 50, seed=13)
+        vals = np.column_stack([surf.value(t, x) for t, x in zip(batch.ts, batch.paths.T)])
+        w = ratio(kern, batch.ts[:-1], 0.5) - ratio(kern, batch.ts[1:], 0.5)
+        per_path = surf.value(3.0, batch.paths[:, -1]) / ratio(kern, 0.5, 3.0) \
+            + 0.5 * ((vals[:, :-1] + vals[:, 1:]) * w).sum(axis=1)
+        assert np.array_equal([est, se], [per_path.mean(), per_path.std(ddof=1) / np.sqrt(50)])
 
     def test_domain_exit_error(self, fx_beliefs):
         kern = CostKernel(1e-8, 1e-7, 3.0)
