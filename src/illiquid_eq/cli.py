@@ -274,7 +274,8 @@ def _write_sweeps(spec, m, num, out: Path) -> list:
 def _require_finite(x_eval: float, tables: dict) -> None:
     """Refuse tables, by file name, before any is written if one holds a non-finite value.
 
-    The closed forms and prices at x_eval overflow from about x_eval = 1e306 on.
+    The closed forms and prices at x_eval overflow from about x_eval = 1e306 on,
+    verify's gates from about 1e150 on.
     """
     for name, rows in tables.items():
         if not np.all(np.isfinite(rows)):
@@ -376,31 +377,45 @@ def _verify_report(cfg: dict, sabotage: bool) -> dict:
 
     passed = all(node["ok"] for node in [clearing, *gate.values(), *obj.values(), *fk.values()])
     checks = {"clearing_residual": clearing, "gateaux": gate, "objective_perturbation": obj, **fk}
+    _require_finite(num["x_eval"], {"verify_report.json": _leaves(checks)})
     return {"passed": passed, "sabotage": sabotage, "checks": checks}
 
 
+def _leaves(node) -> list:
+    """The values of a nested dict, depth first."""
+    if isinstance(node, dict):
+        return [leaf for v in node.values() for leaf in _leaves(v)]
+    return [node]
+
+
 def cmd_verify(cfg: dict, out: Path, args) -> tuple:
-    report = _verify_report(cfg, args.sabotage)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite report is refused
+        report = _verify_report(cfg, args.sabotage)
     path = out / "verify_report.json"
     _write_json(path, report)
     return [path], report["passed"]
 
 
 def cmd_simulate(cfg: dict, out: Path, args) -> tuple:
+    """Summarise each measure's paths as they are marched; no (paths, steps) array is kept."""
     spec, beliefs, _, num, _ = _build(cfg)
+    ts = simulate._mesh(0.0, spec.horizon_T, num["steps"], num["paths"])
     rows = []
     files = []
     for measure in list(range(beliefs.n_agents)) + ["average"]:
-        batch = simulate.simulate(beliefs, measure, num["x_eval"], 0.0, spec.horizon_T,
-                                  num["steps"], num["paths"], seed=num["seed"])
-        XT = batch.paths[:, -1]
-        rows.append((batch.measure, batch.npaths, float(XT.mean()), float(XT.std(ddof=1)),
-                     float(batch.paths.min()), float(batch.paths.max())))
+        label = "average" if measure == "average" else f"agent-{measure}"
+        states = simulate._states(beliefs, measure, num["x_eval"], ts, num["paths"], num["seed"])
+        x = lo = hi = next(states)
+        head = [x[:20].copy()]  # the first 20 paths, for --dump-paths
+        for x in states:
+            lo, hi = np.minimum(lo, x), np.maximum(hi, x)
+            head.append(x[:20].copy())
+        rows.append((label, num["paths"], float(x.mean()), float(x.std(ddof=1)),
+                     float(lo.min()), float(hi.max())))
         if args.dump_paths:
-            k = min(batch.npaths, 20)
-            p = out / f"paths_{batch.measure}.csv"
-            write_csv(p, ["t"] + [f"path{j}" for j in range(k)],
-                      np.column_stack([batch.ts, batch.paths[:k].T]).tolist())
+            p = out / f"paths_{label}.csv"
+            write_csv(p, ["t"] + [f"path{j}" for j in range(len(head[0]))],
+                      np.column_stack([ts, head]).tolist())
             files.append(p)
     p = out / "simulation_summary.csv"
     write_csv(p, ["measure", "paths", "terminal_mean", "terminal_std", "min", "max"], rows)

@@ -5,6 +5,9 @@ Randomness comes from the counter-based Philox generator keyed by
 bit-reproducible for a fixed (seed, mesh, path count) regardless of
 execution order or thread count.  Beliefs that carry an ``OuModel`` are
 sampled with exact transition densities; anything else uses Euler-Maruyama.
+``_states`` marches the paths one mesh time at a time, drawing the normals
+BLOCK_STEPS steps at a time, so a consumer that reads each time once, as
+``feynman_kac_vi`` does, holds no (paths, steps) array.
 
 Paths may leave the spatial domain of a grid price surface.  One rule,
 ``exit_fraction``, governs every consumer: up to ``MAX_EXIT_FRACTION`` of
@@ -29,6 +32,9 @@ __all__ = ["SimulationBatch", "DomainExitError", "MAX_EXIT_FRACTION", "exit_frac
            "simulate", "feynman_kac_vi"]
 
 MAX_EXIT_FRACTION = 0.01
+# steps of normals drawn per block: fewer make a call per path and block
+# costly, more make the block the largest array the march holds
+BLOCK_STEPS = 64
 
 
 class DomainExitError(ValueError):
@@ -74,13 +80,21 @@ class SimulationBatch:
         return float(_step(self.ts))
 
 
-def _path_normals(seed: int, npaths: int, nsteps: int) -> np.ndarray:
-    """(npaths, nsteps) standard normals; row p comes from Philox key (seed, p)."""
-    out = np.empty((npaths, nsteps))
-    for p in range(npaths):
-        bitgen = np.random.Philox(key=np.array([seed, p], dtype=np.uint64))
-        out[p] = np.random.Generator(bitgen).standard_normal(nsteps)
-    return out
+def _path_normals(seed: int, npaths: int, nsteps: int):
+    """(npaths, b) blocks of standard normals, b <= BLOCK_STEPS, nsteps columns in all.
+
+    Row p comes from Philox key (seed, p); the joined blocks equal the
+    one-shot stream of each key.  Each block overwrites the previous one's
+    buffer, so a consumer copies what it keeps.
+    """
+    gens = [np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
+            for p in range(npaths)]
+    buf = np.empty((npaths, min(BLOCK_STEPS, nsteps)))
+    for k in range(0, nsteps, BLOCK_STEPS):
+        out = buf[:, :min(BLOCK_STEPS, nsteps - k)]
+        for gen, row in zip(gens, out):
+            gen.standard_normal(out=row)
+        yield out
 
 
 def _measure_coeffs(beliefs: BeliefSet, measure: Union[int, str]):
@@ -92,27 +106,28 @@ def _measure_coeffs(beliefs: BeliefSet, measure: Union[int, str]):
     return i, beliefs.agents[i].drift, beliefs.agents[i].vol
 
 
-def simulate(beliefs: BeliefSet, measure: Union[int, str], x0: float, t0: float,
-             t_end: float, nt: int, npaths: int, seed: int) -> SimulationBatch:
-    """Simulate ``npaths`` state paths on a uniform mesh from t0 to t_end.
-
-    ``measure`` is an agent index or "average".  Exact Ornstein-Uhlenbeck
-    transitions are used when the beliefs carry an ``OuModel``,
-    Euler-Maruyama otherwise.
-    """
+def _mesh(t0: float, t_end: float, nt: int, npaths: int) -> np.ndarray:
+    """The uniform mesh of ``nt`` steps from t0 to t_end, for ``npaths`` paths."""
     if nt < 2:
         raise ValueError("need at least 2 steps")
     if npaths < 1:
         raise ValueError("need at least 1 path")
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
-    agent_index, drift, vol = _measure_coeffs(beliefs, measure)
-    ts = np.linspace(t0, t_end, nt + 1)
-    dt = _step(ts)
-    Z = _path_normals(seed, npaths, nt)
-    X = np.empty((npaths, nt + 1))
-    X[:, 0] = x0
+    return np.linspace(t0, t_end, nt + 1)
 
+
+def _states(beliefs: BeliefSet, measure: Union[int, str], x0: float, ts: np.ndarray,
+            npaths: int, seed: int):
+    """Each mesh time's (npaths,) state in time order, from x0 at ts[0].
+
+    Exact Ornstein-Uhlenbeck transitions when the beliefs carry an
+    ``OuModel``, Euler-Maruyama otherwise; every state is a new array.
+    """
+    agent_index, drift, vol = _measure_coeffs(beliefs, measure)
+    dt = _step(ts)
+    x = np.full(npaths, x0, dtype=float)
+    yield x
     m = beliefs.ou
     if m is not None:
         kap = m.kappa_bar if agent_index is None else float(m.kappas[agent_index])
@@ -120,16 +135,30 @@ def simulate(beliefs: BeliefSet, measure: Union[int, str], x0: float, t0: float,
         sig = float(m.sigma)
         e = np.exp(-kap * dt)
         sd = sig * np.sqrt((1.0 - e * e) / (2.0 * kap))
-        for k in range(nt):
-            X[:, k + 1] = mean + (X[:, k] - mean) * e + sd * Z[:, k]
     else:
         sq = np.sqrt(dt)
-        for k in range(nt):
-            t = ts[k]
-            b = np.asarray(drift(t, X[:, k]), dtype=float)
-            s = np.asarray(vol(t, X[:, k]), dtype=float)
-            X[:, k + 1] = X[:, k] + b * dt + s * sq * Z[:, k]
+    normals = (z for Z in _path_normals(seed, npaths, len(ts) - 1) for z in Z.T)
+    for t, z in zip(ts, normals):
+        if m is not None:
+            x = mean + (x - mean) * e + sd * z
+        else:
+            b = np.asarray(drift(t, x), dtype=float)
+            s = np.asarray(vol(t, x), dtype=float)
+            x = x + b * dt + s * sq * z
+        yield x
 
+
+def simulate(beliefs: BeliefSet, measure: Union[int, str], x0: float, t0: float,
+             t_end: float, nt: int, npaths: int, seed: int) -> SimulationBatch:
+    """Simulate ``npaths`` state paths on a uniform mesh from t0 to t_end.
+
+    ``measure`` is an agent index or "average"; the paths are ``_states``'s.
+    """
+    ts = _mesh(t0, t_end, nt, npaths)
+    X = np.empty((npaths, nt + 1))
+    for k, x in enumerate(_states(beliefs, measure, x0, ts, npaths, seed)):
+        X[:, k] = x
+    agent_index = None if measure == "average" else int(measure)
     label = "average" if agent_index is None else f"agent-{agent_index}"
     return SimulationBatch(measure=label, agent_index=agent_index, ts=ts, paths=X)
 
@@ -141,31 +170,30 @@ def feynman_kac_vi(beliefs: BeliefSet, i: int, v_surface, kernel: CostKernel,
     Estimates  E^i[f(X_T)]/G(t) - int_t^T (G'(u)/G(t)) E^i[v(u, X_u)] du
     by simulating under Q_i.  The u-quadrature is trapezoidal in the price
     with the kernel weight integrated exactly over each substep, so constant
-    surfaces are reproduced exactly.  Paths leaving the surface domain
-    follow ``exit_fraction``'s rule.
+    surfaces are reproduced exactly.  The paths are marched with
+    ``_states`` and read once per mesh time, so only (npaths,) arrays are
+    kept; paths leaving the surface domain follow ``exit_fraction``'s rule,
+    applied to each path's extremes after the march.
 
     Returns (estimate, standard_error).
     """
     T = kernel.horizon_T
-    batch = simulate(beliefs, i, x, t, T, nt, npaths, seed)
-    X = batch.paths
-    ts = batch.ts
-
-    exit_fraction(X, v_surface.x_bounds)
-    vals = np.empty((npaths, len(ts)))
-    for k in range(len(ts)):
-        vals[:, k] = np.asarray(v_surface.value(ts[k], X[:, k]), dtype=float)
-
+    ts = _mesh(t, T, nt, npaths)
     # exact per-interval weight: int_{u_k}^{u_{k+1}} -G'(u)/G(t) du
     w = ratio(kernel, ts[:-1], t) - ratio(kernel, ts[1:], t)
-    # the trapezoid (v_k + v_{k+1}) * w_k, summed in place in vals
-    head = vals[:, :-1]
-    head += vals[:, 1:]
-    head *= w
-    integral = 0.5 * head.sum(axis=1)
+    states = _states(beliefs, i, x, ts, npaths, seed)
+    lo = hi = next(states)
+    v = np.asarray(v_surface.value(ts[0], lo), dtype=float)
+    trapezoid = np.zeros(npaths)
+    for k, xk in enumerate(states):
+        lo, hi = np.minimum(lo, xk), np.maximum(hi, xk)
+        v_prev, v = v, np.asarray(v_surface.value(ts[k + 1], xk), dtype=float)
+        # the trapezoid (v_k + v_{k+1}) * w_k, summed in time order
+        trapezoid += (v_prev + v) * w[k]
+    exit_fraction(np.column_stack([lo, hi]), v_surface.x_bounds)
 
-    terminal = np.asarray(v_surface.value(T, X[:, -1]), dtype=float)
-    per_path = terminal / ratio(kernel, t, T) + integral
+    # the last state is at ts[-1] = T, so v holds the terminal values
+    per_path = v / ratio(kernel, t, T) + 0.5 * trapezoid
     est = float(per_path.mean())
     se = float(per_path.std(ddof=1) / np.sqrt(npaths)) if npaths > 1 else float("nan")
     return est, se

@@ -1,5 +1,7 @@
 """Path generation and the Monte Carlo price oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from illiquid_eq import simulate as simulate_module
 from illiquid_eq.kernel import CostKernel, ratio
 from illiquid_eq.model import AgentBelief, BeliefSet
 from illiquid_eq.pde import GridSurface
-from illiquid_eq.simulate import DomainExitError, feynman_kac_vi, simulate
+from illiquid_eq.simulate import (BLOCK_STEPS, DomainExitError, exit_fraction, feynman_kac_vi,
+                                  simulate)
 
 
 def _untagged_ou(kappa=0.8625, mean=1.25, sigma=0.128):
@@ -19,8 +22,20 @@ def _untagged_ou(kappa=0.8625, mean=1.25, sigma=0.128):
 
 
 def _no_noise(monkeypatch):
+    # _path_normals yields blocks of normals; here one block of zeros
     monkeypatch.setattr(simulate_module, "_path_normals",
-                        lambda seed, npaths, nsteps: np.zeros((npaths, nsteps)))
+                        lambda seed, npaths, nsteps: [np.zeros((npaths, nsteps))])
+
+
+@pytest.mark.parametrize("nsteps", [1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
+                                    2 * BLOCK_STEPS + 3])
+def test_normal_blocks_join_to_each_paths_stream(nsteps):
+    # each block overwrites the last one's buffer, so it is copied as it comes
+    blocks = [b.copy() for b in simulate_module._path_normals(17, 5, nsteps)]
+    assert all(b.shape[1] <= BLOCK_STEPS for b in blocks)
+    for p, row in enumerate(np.hstack(blocks)):
+        bitgen = np.random.Philox(key=np.array([17, p], dtype=np.uint64))
+        assert np.array_equal(row, np.random.Generator(bitgen).standard_normal(nsteps))
 
 
 class TestSimulate:
@@ -127,7 +142,7 @@ class TestFeynmanKac:
             assert abs(est - exact) <= 3 * se
 
     def test_trapezoid_is_the_explicit_form(self, fx_beliefs):
-        # the trapezoid is summed in place in vals, in the explicit form's order;
+        # the trapezoid is summed in time order, one mesh interval at a time;
         # a zero terminal row leaves the trapezoid alone in the estimate
         kern = CostKernel(1e-6, 1e-7, 3.0)
         ts = np.linspace(0.0, 3.0, 7)
@@ -137,11 +152,47 @@ class TestFeynmanKac:
         surf = GridSurface(ts=ts, xs=xs, v=v)
         est, se = feynman_kac_vi(fx_beliefs, 0, surf, kern, 0.5, 1.0, npaths=50, seed=13, nt=20)
         batch = simulate(fx_beliefs, 0, 1.0, 0.5, 3.0, 20, 50, seed=13)
-        vals = np.column_stack([surf.value(t, x) for t, x in zip(batch.ts, batch.paths.T)])
+        vals = [surf.value(t, x) for t, x in zip(batch.ts, batch.paths.T)]
         w = ratio(kern, batch.ts[:-1], 0.5) - ratio(kern, batch.ts[1:], 0.5)
-        per_path = surf.value(3.0, batch.paths[:, -1]) / ratio(kern, 0.5, 3.0) \
-            + 0.5 * ((vals[:, :-1] + vals[:, 1:]) * w).sum(axis=1)
+        trapezoid = np.zeros(50)
+        for k in range(20):
+            trapezoid += (vals[k] + vals[k + 1]) * w[k]
+        per_path = surf.value(3.0, batch.paths[:, -1]) / ratio(kern, 0.5, 3.0) + 0.5 * trapezoid
         assert np.array_equal([est, se], [per_path.mean(), per_path.std(ddof=1) / np.sqrt(50)])
+
+    @pytest.mark.parametrize("cut, raises", [(0.005, False), (0.02, True)])
+    def test_domain_exit_follows_exit_fraction(self, fx_beliefs, cut, raises):
+        # a grid whose x edges are quantiles of the paths' extremes, cutting
+        # about `cut` of them: the march raises iff exit_fraction does on the batch
+        kern = CostKernel(1e-8, 1e-7, 3.0)
+        batch = simulate(fx_beliefs, 0, 1.0, 0.0, 3.0, 30, 2000, seed=12)
+        lo = np.quantile(batch.paths.min(axis=1), cut / 2)
+        hi = np.quantile(batch.paths.max(axis=1), 1 - cut / 2)
+        surf = GridSurface(ts=np.linspace(0.0, 3.0, 4), xs=np.linspace(lo, hi, 5),
+                           v=np.ones((4, 5)))
+        try:
+            exit_fraction(batch.paths, surf.x_bounds)
+            batch_raises = False
+        except DomainExitError:
+            batch_raises = True
+        assert batch_raises == raises
+        if raises:
+            with pytest.raises(DomainExitError):
+                feynman_kac_vi(fx_beliefs, 0, surf, kern, 0.0, 1.0, npaths=2000, seed=12, nt=30)
+        else:
+            feynman_kac_vi(fx_beliefs, 0, surf, kern, 0.0, 1.0, npaths=2000, seed=12, nt=30)
+
+    def test_march_holds_less_than_one_path_array(self, fx_beliefs, fx_ab, fx_kernel):
+        # the paths are read once per mesh time: neither the paths nor their
+        # surface values are kept whole, (10000, 201) doubles being 16 MB
+        tracemalloc.start()
+        try:
+            feynman_kac_vi(fx_beliefs, 0, fx_ab, fx_kernel, 0.0, 1.0, npaths=10000, seed=3,
+                           nt=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10000 * 201 * 8
 
     def test_domain_exit_error(self, fx_beliefs):
         kern = CostKernel(1e-8, 1e-7, 3.0)
