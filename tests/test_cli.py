@@ -228,7 +228,7 @@ def test_asymptotics_errors_keep_the_sequential_order(config, tmp_path, capsys, 
 def test_overflowing_x_eval_is_input_error(config, tmp_path, capsys, command, table):
     # from x_eval = 1e306 on the closed-form corrections overflow: asymptotics
     # wrote inf into its sweeps, figures -inf before its plot raised; verify's
-    # gates overflow from about 1e150 on, and it wrote an Infinity gap and exit 1
+    # gates overflow at 1e150 already, and it wrote an Infinity gap and exited 1
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

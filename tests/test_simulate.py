@@ -1,5 +1,6 @@
 """Path generation and the Monte Carlo price oracle."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -170,16 +171,10 @@ class TestFeynmanKac:
         hi = np.quantile(batch.paths.max(axis=1), 1 - cut / 2)
         surf = GridSurface(ts=np.linspace(0.0, 3.0, 4), xs=np.linspace(lo, hi, 5),
                            v=np.ones((4, 5)))
-        try:
+        expect = (lambda: pytest.raises(DomainExitError)) if raises else contextlib.nullcontext
+        with expect():
             exit_fraction(batch.paths, surf.x_bounds)
-            batch_raises = False
-        except DomainExitError:
-            batch_raises = True
-        assert batch_raises == raises
-        if raises:
-            with pytest.raises(DomainExitError):
-                feynman_kac_vi(fx_beliefs, 0, surf, kern, 0.0, 1.0, npaths=2000, seed=12, nt=30)
-        else:
+        with expect():
             feynman_kac_vi(fx_beliefs, 0, surf, kern, 0.0, 1.0, npaths=2000, seed=12, nt=30)
 
     def test_march_holds_less_than_one_path_array(self, fx_beliefs, fx_ab, fx_kernel):
